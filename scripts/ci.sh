@@ -35,6 +35,11 @@ RASQL_VERIFY_STAGES=1 \
 "${BUILD_DIR}/tests/vec_program_test"
 "${BUILD_DIR}/tests/morsel_test" --gtest_filter='*MorselMatrix*'
 
+# Canonical-collect gate under ASan (DESIGN.md §16): the typed sort and
+# k-way merge index KeyArrays columns by permutation and run position, and
+# the parallel Partition writes destinations through raw chunk offsets.
+"${BUILD_DIR}/tests/canonical_collect_test"
+
 # Parallel-runtime gate: TSan excludes ASan, so the work-stealing executor
 # and the threaded fixpoint tests get their own build. Only the four test
 # binaries that exercise real threads are built and run — a full TSan build
@@ -46,7 +51,7 @@ cmake -B "${TSAN_BUILD_DIR}" -S . \
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target runtime_test dist_test fixpoint_test morsel_test \
            columnar_test vec_program_test concurrency_test server_test \
-           incremental_test
+           incremental_test canonical_collect_test
 "${TSAN_BUILD_DIR}/tests/runtime_test"
 "${TSAN_BUILD_DIR}/tests/dist_test"
 "${TSAN_BUILD_DIR}/tests/fixpoint_test"
@@ -69,6 +74,13 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 # above: the gate stays explicit even if the suite reorganizes.
 "${TSAN_BUILD_DIR}/tests/fixpoint_test" \
   --gtest_filter='*LocalFixpointParallel*'
+
+# Canonical collect under TSan (DESIGN.md §16): partition tasks run on
+# the pool between stages — each sorts its own SetRdd slice into its own
+# run slot and frees that slice's hash state inside the task — and the
+# parallel Partition hashes chunks and gathers partitions concurrently, at
+# threads {1,2,8}.
+"${TSAN_BUILD_DIR}/tests/canonical_collect_test"
 
 # Morsel-split matrix under TSan: split sub-tasks write caller-owned slots
 # concurrently with finalize tasks being released per partition, and the

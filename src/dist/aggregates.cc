@@ -65,7 +65,7 @@ std::vector<Row> PartialAggregate(std::vector<Row> rows,
     std::vector<Row> out;
     out.reserve(rows.size());
     for (Row& row : rows) {
-      if (seen.emplace(row, true).second) out.push_back(std::move(row));
+      if (seen.try_emplace(row, true).second) out.push_back(std::move(row));
     }
     return out;
   }
@@ -76,7 +76,7 @@ std::vector<Row> PartialAggregate(std::vector<Row> rows,
   for (const Row& row : rows) {
     Row key = storage::ProjectKey(row, spec.key_columns);
     const Value& v = row[spec.agg_column];
-    auto [it, inserted] = groups.emplace(std::move(key), v);
+    auto [it, inserted] = groups.try_emplace(std::move(key), v);
     if (!inserted) it->second = CombineAgg(spec.function, it->second, v);
   }
 
@@ -102,7 +102,7 @@ std::vector<Row> PartialAggregate(const storage::Relation& rel,
     std::vector<Row> out;
     out.reserve(rel.size());
     rel.ForEachRow([&](const Row& row) {
-      if (seen.emplace(row, true).second) out.push_back(row);
+      if (seen.try_emplace(row, true).second) out.push_back(row);
     });
     return out;
   }
@@ -117,7 +117,7 @@ std::vector<Row> PartialAggregate(const storage::Relation& rel,
         key[i] = chunk.ValueAt(r, static_cast<size_t>(spec.key_columns[i]));
       }
       const Value v = chunk.ValueAt(r, static_cast<size_t>(spec.agg_column));
-      auto [it, inserted] = groups.emplace(key, v);
+      auto [it, inserted] = groups.try_emplace(key, v);
       if (!inserted) it->second = CombineAgg(spec.function, it->second, v);
     }
   }

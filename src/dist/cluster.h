@@ -263,6 +263,9 @@ class Cluster {
   }
   /// Actual number of task-executing threads (>= 1).
   int num_threads() const { return executor_.num_threads(); }
+  /// The executor's pool (null with one thread), for driver-side parallel
+  /// work between stages that the cost model does not charge.
+  runtime::ThreadPool* pool() const { return executor_.pool(); }
 
   /// Runs one stage: `task` executes with a TaskContext for every
   /// partition in [0, num_partitions) — concurrently when the runtime has

@@ -1,6 +1,7 @@
 #include "dist/partition.h"
 
 #include "common/check.h"
+#include "runtime/thread_pool.h"
 
 namespace rasql::dist {
 
@@ -42,10 +43,33 @@ Relation PartitionedRelation::Collect() const {
 
 PartitionedRelation Partition(const Relation& input,
                               std::vector<int> key_columns,
-                              int num_partitions) {
+                              int num_partitions, runtime::ThreadPool* pool) {
   Partitioning spec{std::move(key_columns), num_partitions};
   PartitionedRelation out(input.schema(), spec);
-  input.ForEachRow([&](const Row& row) { out.Add(row); });
+  const int num_chunks = static_cast<int>(input.num_chunks());
+  std::vector<uint32_t> dest(input.size());
+  runtime::ParallelFor(pool, num_chunks, [&](int c) {
+    const storage::ColumnChunk& chunk = input.chunk(c);
+    uint32_t* out_dest = dest.data() + input.chunk_begin(c);
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      out_dest[r] = static_cast<uint32_t>(
+          chunk.HashKey(r, spec.key_columns) %
+          static_cast<uint64_t>(num_partitions));
+    }
+  });
+  runtime::ParallelFor(pool, num_partitions, [&](int p) {
+    Relation* part = out.mutable_partition(p);
+    Row row;
+    for (int c = 0; c < num_chunks; ++c) {
+      const storage::ColumnChunk& chunk = input.chunk(c);
+      const uint32_t* chunk_dest = dest.data() + input.chunk_begin(c);
+      for (size_t r = 0; r < chunk.num_rows(); ++r) {
+        if (chunk_dest[r] != static_cast<uint32_t>(p)) continue;
+        chunk.MaterializeRow(r, &row);
+        part->AppendRow(row);
+      }
+    }
+  });
   return out;
 }
 

@@ -6,6 +6,10 @@
 
 #include "storage/relation.h"
 
+namespace rasql::runtime {
+class ThreadPool;
+}  // namespace rasql::runtime
+
 namespace rasql::dist {
 
 /// Hash partitioning spec: which columns form the key and how many
@@ -57,10 +61,15 @@ class PartitionedRelation {
   std::vector<storage::Relation> partitions_;
 };
 
-/// Hash-partitions `input` on `key_columns` into `num_partitions` pieces.
+/// Hash-partitions `input` on `key_columns` into `num_partitions` pieces,
+/// each holding its rows in input order — identical to adding the rows one
+/// by one. Runs on `pool` when given: destinations are hashed chunk by
+/// chunk straight from the column arrays (ColumnChunk::HashKey), then
+/// every partition gathers its own rows as one task.
 PartitionedRelation Partition(const storage::Relation& input,
                               std::vector<int> key_columns,
-                              int num_partitions);
+                              int num_partitions,
+                              runtime::ThreadPool* pool = nullptr);
 
 /// Map-side shuffle output: rows bucketed by destination partition as
 /// column-chunked slices, plus the byte counts the cost model needs.

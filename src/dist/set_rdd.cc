@@ -1,6 +1,7 @@
 #include "dist/set_rdd.h"
 
 #include "common/check.h"
+#include "runtime/thread_pool.h"
 
 namespace rasql::dist {
 
@@ -23,7 +24,7 @@ void SetRddPartition::MergeOne(const Row& row, bool accumulates,
   // Aggregate semantics (paper Alg. 5 ReduceStage, extended to sum/count).
   Row key = storage::ProjectKey(row, spec_.key_columns);
   const Value& v = row[spec_.agg_column];
-  auto [it, inserted] = agg_state_.emplace(std::move(key), v);
+  auto [it, inserted] = agg_state_.try_emplace(std::move(key), v);
   if (inserted) {
     byte_size_ += storage::RowByteSize(row);
     delta->push_back(row);
@@ -69,7 +70,7 @@ void SetRddPartition::Absorb(const Relation& converged) {
     }
     Row key = storage::ProjectKey(row, spec_.key_columns);
     const Value& v = row[spec_.agg_column];
-    auto [it, inserted] = agg_state_.emplace(std::move(key), v);
+    auto [it, inserted] = agg_state_.try_emplace(std::move(key), v);
     if (inserted) {
       byte_size_ += storage::RowByteSize(row);
     } else {
@@ -96,6 +97,31 @@ Relation SetRddPartition::ToRelation() const {
     out.Add(std::move(row));
   }
   return out;
+}
+
+storage::KeyArrays SetRddPartition::TakeSortedRun() {
+  storage::KeyArrays run(static_cast<size_t>(schema_.num_columns()));
+  run.Reserve(size());
+  if (!spec_.has_aggregate()) {
+    for (const Row& row : set_state_) run.AppendRow(row);
+  } else {
+    Row row(schema_.num_columns());
+    for (const auto& [key, value] : agg_state_) {
+      for (size_t i = 0; i < spec_.key_columns.size(); ++i) {
+        row[spec_.key_columns[i]] = key[i];
+      }
+      row[spec_.agg_column] = value;
+      run.AppendRow(row);
+    }
+  }
+  // Free the hash state here, inside the partition's task, before sorting:
+  // tearing down hundreds of thousands of boxed rows is real work, and the
+  // typed arrays are a fraction of its footprint.
+  decltype(set_state_)().swap(set_state_);
+  decltype(agg_state_)().swap(agg_state_);
+  byte_size_ = 0;
+  run.Sort();
+  return run;
 }
 
 SetRdd::SetRdd(storage::Schema schema, AggSpec spec, Partitioning partitioning)
@@ -132,6 +158,14 @@ Relation SetRdd::Collect() const {
     }
   }
   return out;
+}
+
+Relation SetRdd::CanonicalCollect(runtime::ThreadPool* pool) {
+  std::vector<storage::KeyArrays> runs(partitions_.size());
+  runtime::ParallelFor(pool, num_partitions(), [&](int p) {
+    runs[p] = partitions_[p].TakeSortedRun();
+  });
+  return storage::MergeSortedRuns(partitions_[0].schema(), runs);
 }
 
 }  // namespace rasql::dist

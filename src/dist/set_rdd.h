@@ -7,6 +7,7 @@
 
 #include "dist/aggregates.h"
 #include "dist/partition.h"
+#include "storage/key_arrays.h"
 #include "storage/relation.h"
 
 namespace rasql::dist {
@@ -45,8 +46,15 @@ class SetRddPartition {
   /// Approximate bytes of cached state — feeds TaskIo::cached_state_bytes.
   size_t byte_size() const { return byte_size_; }
 
+  const storage::Schema& schema() const { return schema_; }
+
   /// Materializes the state as a relation (final fixpoint output).
   storage::Relation ToRelation() const;
+
+  /// Moves the state into typed key arrays sorted in the canonical order
+  /// and frees the hash state: the per-partition half of
+  /// SetRdd::CanonicalCollect. The partition is empty afterwards.
+  storage::KeyArrays TakeSortedRun();
 
  private:
   void MergeOne(const storage::Row& row, bool accumulates,
@@ -79,6 +87,13 @@ class SetRdd {
 
   /// Gathers the fixpoint result across partitions.
   storage::Relation Collect() const;
+
+  /// The fixpoint epilogue (DESIGN.md §16): every partition, as one task
+  /// on `pool` (inline when null), turns its state into a sorted run of
+  /// typed key arrays and frees its hash state; the caller then k-way
+  /// merges the runs into chunks. Equals `Collect()` followed by
+  /// `SortRows()` byte for byte, and leaves every partition empty.
+  storage::Relation CanonicalCollect(runtime::ThreadPool* pool);
 
  private:
   Partitioning partitioning_;

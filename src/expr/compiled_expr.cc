@@ -30,6 +30,7 @@ std::optional<CompiledExpr> CompiledExpr::Compile(const Expr& expr) {
     }
     if (depth > max_depth) max_depth = depth;
   }
+  if (max_depth > kMaxStack) return std::nullopt;
   compiled.max_stack_ = max_depth;
   return compiled;
 }
@@ -118,10 +119,10 @@ bool CompiledExpr::Emit(const Expr& expr) {
 }
 
 double CompiledExpr::EvalNumeric(const storage::Row& row) const {
-  // The stack lives on the C++ stack; programs are tiny (< 64 slots in any
-  // realistic query) and max_stack_ is an exact bound.
-  double stack[64];
-  RASQL_DCHECK(max_stack_ <= 64);
+  // The stack lives on the C++ stack; Compile rejects programs deeper than
+  // kMaxStack and max_stack_ is an exact bound.
+  double stack[kMaxStack];
+  RASQL_DCHECK(max_stack_ <= kMaxStack);
   int sp = 0;
   for (const Instruction& in : program_) {
     switch (in.op) {

@@ -19,8 +19,13 @@ namespace rasql::expr {
 /// interpreted tree (mirroring Spark operators without codegen support).
 class CompiledExpr {
  public:
+  /// Deepest value stack a compiled program may need: EvalNumeric keeps
+  /// its stack in a fixed array of this many slots.
+  static constexpr int kMaxStack = 64;
+
   /// Attempts to compile `expr`. Returns nullopt when the expression uses
-  /// non-numeric inputs.
+  /// non-numeric inputs, or nests so deep that its program would need
+  /// more than kMaxStack stack slots — callers then interpret it.
   static std::optional<CompiledExpr> Compile(const Expr& expr);
 
   /// Evaluates to a double (comparisons/booleans yield 0.0 or 1.0).
@@ -77,8 +82,8 @@ class CompiledExpr {
 
   std::vector<Instruction> program_;
   storage::ValueType output_type_ = storage::ValueType::kDouble;
-  // Stack depth bound computed at compile time so Eval can use a fixed
-  // stack without bounds checks.
+  // Stack depth bound computed at compile time (at most kMaxStack) so Eval
+  // can use a fixed stack without bounds checks.
   int max_stack_ = 0;
 };
 

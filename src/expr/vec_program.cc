@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "expr/compiled_expr.h"
 
 namespace rasql::expr {
 
@@ -33,6 +34,12 @@ std::optional<VecProgram> VecProgram::Compile(const Expr& expr,
         break;
     }
     if (depth > max_depth) max_depth = depth;
+  }
+  // The compiled mirror is accepted exactly when CompiledExpr::Compile
+  // accepts, depth cap included, so batch mode picks the row path's engine.
+  if (semantics == VecSemantics::kCompiledMirror &&
+      max_depth > CompiledExpr::kMaxStack) {
+    return std::nullopt;
   }
   program.max_stack_ = max_depth;
   return program;

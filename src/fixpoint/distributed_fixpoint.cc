@@ -593,9 +593,10 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       return Status::ExecutionError("table '" + name + "' not bound");
     }
     // Partitioning the base costs one shuffle of its full size. The rows
-    // are placed driver-side above; the stage models the byte movement.
-    coparted.emplace(name,
-                     dist::Partition(*it->second, shape.copart_keys, P));
+    // are placed driver-side, on the executor's pool between stages
+    // (DESIGN.md §16); the stage below models the byte movement.
+    coparted.emplace(name, dist::Partition(*it->second, shape.copart_keys,
+                                           P, cluster->pool()));
     const size_t bytes = it->second->ByteSize();
     StageSpec partition_stage;
     partition_stage.name = "partition-base:" + name;
@@ -650,17 +651,23 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   const WarmStartInput* warm = options.warm_start;
   std::vector<Row> base_rows;
   if (warm == nullptr) {
+    // The branches' chunks are concatenated, not materialized: the
+    // relation overload of PartialAggregate streams key and aggregate
+    // cells from the column arrays and visits rows in the same order as
+    // the row overload, so the pre-aggregated base case is identical.
+    Relation base(view.schema);
     for (const plan::PlanPtr& p : view.base_plans) {
       RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*p, base_ctx));
       ++stats->plan_executions;
-      for (Row& row : rel.TakeRows()) base_rows.push_back(std::move(row));
+      base.AppendChunks(std::move(rel));
     }
+    base_rows = dist::PartialAggregate(base, spec);
   } else {
-    RASQL_ASSIGN_OR_RETURN(base_rows,
+    RASQL_ASSIGN_OR_RETURN(std::vector<Row> seed,
                            EvaluateWarmSeed(view, *warm, base_ctx, stats));
     stats->warm_starts = 1;
+    base_rows = dist::PartialAggregate(std::move(seed), spec);
   }
-  base_rows = dist::PartialAggregate(std::move(base_rows), spec);
 
   dist::SetRdd all(view.schema, spec, partitioning);
   std::vector<std::vector<Row>> delta(P);
@@ -672,7 +679,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     // from the seed alone — in every mode, including decomposed (state and
     // seed share the partitioning, and partitions stay independent).
     dist::PartitionedRelation warm_slices =
-        dist::Partition(*warm->converged, key, P);
+        dist::Partition(*warm->converged, key, P, cluster->pool());
     StageSpec warm_stage;
     warm_stage.name = "warm-absorb";
     warm_stage.kind = StageSpec::Kind::kLocal;
@@ -1084,8 +1091,9 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   // Canonical (sorted) output, matching the local evaluator: hash-state
   // iteration order depends on insertion history, which a warm start
   // legitimately changes; sorting pins warm results to the cold bytes.
-  Relation result = all.Collect();
-  result.SortRows();
+  // Each partition sorts its own state on the pool and the driver merges
+  // the runs (DESIGN.md §16) — no modeled stage, like the old collect.
+  Relation result = all.CanonicalCollect(cluster->pool());
   std::map<std::string, Relation> out;
   out.emplace(view.name, std::move(result));
   return out;

@@ -202,12 +202,15 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
   const WarmStartInput* warm = options.warm_start;
   std::vector<Row> base_rows;
   if (warm == nullptr) {
-    for (const plan::PlanPtr& base : view.base_plans) {
-      RASQL_ASSIGN_OR_RETURN(Relation rel,
-                             physical::Execute(*base, base_ctx));
+    // Aggregated straight from the branches' chunks, in the order the
+    // materialized rows would be visited (DESIGN.md §16).
+    Relation base(view.schema);
+    for (const plan::PlanPtr& p : view.base_plans) {
+      RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*p, base_ctx));
       ++stats->plan_executions;
-      for (Row& row : rel.TakeRows()) base_rows.push_back(std::move(row));
+      base.AppendChunks(std::move(rel));
     }
+    base_rows = dist::PartialAggregate(base, spec);
   } else {
     {
       ShuffleWrite absorb(P);
@@ -217,11 +220,11 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
         state.partition(p)->Absorb(absorb.slice_per_dest[p]);
       });
     }
-    RASQL_ASSIGN_OR_RETURN(
-        base_rows, EvaluateWarmSeed(view, *warm, base_ctx, stats));
+    RASQL_ASSIGN_OR_RETURN(std::vector<Row> seed,
+                           EvaluateWarmSeed(view, *warm, base_ctx, stats));
     stats->warm_starts = 1;
+    base_rows = dist::PartialAggregate(std::move(seed), spec);
   }
-  base_rows = dist::PartialAggregate(std::move(base_rows), spec);
 
   std::vector<std::vector<Row>> delta(P);
   {
@@ -355,9 +358,9 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
 
   // Canonical (sorted) output: hash-state iteration order depends on
   // insertion history, which a warm start legitimately changes; sorting
-  // here is what makes warm results bit-identical to cold ones.
-  Relation result = state.Collect();
-  result.SortRows();
+  // here is what makes warm results bit-identical to cold ones. Every
+  // partition sorts and frees its own state on the pool (DESIGN.md §16).
+  Relation result = state.CanonicalCollect(pool);
   std::map<std::string, Relation> out;
   out.emplace(view.name, std::move(result));
   stats->used_semi_naive = true;

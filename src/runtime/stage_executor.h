@@ -25,6 +25,10 @@ class StageExecutor {
   const RuntimeOptions& options() const { return options_; }
   /// Actual number of task-executing threads (>= 1, auto resolved).
   int num_threads() const { return num_threads_; }
+  /// The pool stage tasks run on; null on the one-thread inline path.
+  /// Driver-side work that is not a modeled stage (the fixpoint prologue
+  /// and canonical collect, DESIGN.md §16) borrows it between stages.
+  ThreadPool* pool() const { return pool_; }
 
   /// Runs task(p) for every p in [0, num_tasks), filling `results` and
   /// `task_seconds` in partition order. R must be default-constructible

@@ -192,4 +192,13 @@ void ThreadPool::ParallelForGraph(
   RunJobAsWorkerZero();
 }
 
+void ParallelFor(ThreadPool* pool, int num_tasks,
+                 const std::function<void(int)>& body) {
+  if (pool != nullptr) {
+    pool->ParallelFor(num_tasks, body);
+    return;
+  }
+  for (int i = 0; i < num_tasks; ++i) body(i);
+}
+
 }  // namespace rasql::runtime

@@ -95,6 +95,12 @@ class ThreadPool {
   std::mutex submit_mu_;  ///< serializes concurrent ParallelFor calls
 };
 
+/// `pool->ParallelFor(num_tasks, body)`, or an inline loop in index order
+/// when `pool` is null — a one-thread cluster runtime owns no pool
+/// (StageExecutor::pool()).
+void ParallelFor(ThreadPool* pool, int num_tasks,
+                 const std::function<void(int)>& body);
+
 }  // namespace rasql::runtime
 
 #endif  // RASQL_RUNTIME_THREAD_POOL_H_

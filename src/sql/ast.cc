@@ -1,5 +1,6 @@
 #include "sql/ast.h"
 
+#include <algorithm>
 #include <set>
 
 #include "storage/schema.h"
@@ -52,6 +53,7 @@ AstExprPtr MakeAstBinary(expr::BinaryOp op, AstExprPtr lhs, AstExprPtr rhs) {
   auto e = std::make_unique<AstExpr>();
   e->kind = AstExpr::Kind::kBinary;
   e->op = op;
+  e->height = 1 + std::max(lhs->height, rhs->height);
   e->lhs = std::move(lhs);
   e->rhs = std::move(rhs);
   return e;

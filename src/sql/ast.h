@@ -33,6 +33,10 @@ struct AstExpr {
   std::unique_ptr<AstExpr> rhs;
   expr::AggregateFunction agg_fn = expr::AggregateFunction::kNone;
   bool distinct = false;  // kAggCall with DISTINCT
+  /// Nodes on the longest path from this node down to a leaf. The parser
+  /// refuses trees taller than Parser::kMaxExprDepth, which bounds the
+  /// recursion of every AST and expression walker downstream.
+  int height = 1;
 
   std::string ToString() const;
 };

@@ -50,6 +50,15 @@ Status Parser::ErrorHere(const std::string& message) const {
                             " near " + near);
 }
 
+Status Parser::NestingError() const {
+  return ErrorHere("expression nests deeper than " +
+                   std::to_string(kMaxExprDepth) + " levels");
+}
+
+Status Parser::CheckHeight(const AstExpr& e) const {
+  return e.height > kMaxExprDepth ? NestingError() : Status::OK();
+}
+
 Status Parser::Expect(TokenType type, const char* what) {
   if (Peek().type != type) {
     return ErrorHere(std::string("expected ") + what);
@@ -353,6 +362,7 @@ Result<AstExprPtr> Parser::ParseOr() {
   while (MatchKeyword("or")) {
     RASQL_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseAnd());
     lhs = MakeAstBinary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
+    RASQL_RETURN_IF_ERROR(CheckHeight(*lhs));
   }
   return lhs;
 }
@@ -362,16 +372,21 @@ Result<AstExprPtr> Parser::ParseAnd() {
   while (MatchKeyword("and")) {
     RASQL_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseNot());
     lhs = MakeAstBinary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
+    RASQL_RETURN_IF_ERROR(CheckHeight(*lhs));
   }
   return lhs;
 }
 
 Result<AstExprPtr> Parser::ParseNot() {
   if (MatchKeyword("not")) {
+    Nesting nesting(&depth_);
+    if (depth_ > kMaxExprDepth) return NestingError();
     RASQL_ASSIGN_OR_RETURN(AstExprPtr input, ParseNot());
     auto e = std::make_unique<AstExpr>();
     e->kind = AstExpr::Kind::kNot;
+    e->height = 1 + input->height;
     e->lhs = std::move(input);
+    RASQL_RETURN_IF_ERROR(CheckHeight(*e));
     return AstExprPtr(std::move(e));
   }
   return ParseComparison();
@@ -404,7 +419,9 @@ Result<AstExprPtr> Parser::ParseComparison() {
   }
   Advance();
   RASQL_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseAdditive());
-  return MakeAstBinary(op, std::move(lhs), std::move(rhs));
+  AstExprPtr e = MakeAstBinary(op, std::move(lhs), std::move(rhs));
+  RASQL_RETURN_IF_ERROR(CheckHeight(*e));
+  return e;
 }
 
 Result<AstExprPtr> Parser::ParseAdditive() {
@@ -421,6 +438,7 @@ Result<AstExprPtr> Parser::ParseAdditive() {
     Advance();
     RASQL_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseMultiplicative());
     lhs = MakeAstBinary(op, std::move(lhs), std::move(rhs));
+    RASQL_RETURN_IF_ERROR(CheckHeight(*lhs));
   }
 }
 
@@ -438,11 +456,14 @@ Result<AstExprPtr> Parser::ParseMultiplicative() {
     Advance();
     RASQL_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseUnary());
     lhs = MakeAstBinary(op, std::move(lhs), std::move(rhs));
+    RASQL_RETURN_IF_ERROR(CheckHeight(*lhs));
   }
 }
 
 Result<AstExprPtr> Parser::ParseUnary() {
   if (Match(TokenType::kMinus)) {
+    Nesting nesting(&depth_);
+    if (depth_ > kMaxExprDepth) return NestingError();
     RASQL_ASSIGN_OR_RETURN(AstExprPtr input, ParseUnary());
     // Fold literal negation so `-3` is a literal, not an expression.
     if (input->kind == AstExpr::Kind::kLiteral) {
@@ -456,7 +477,9 @@ Result<AstExprPtr> Parser::ParseUnary() {
     }
     auto e = std::make_unique<AstExpr>();
     e->kind = AstExpr::Kind::kNegate;
+    e->height = 1 + input->height;
     e->lhs = std::move(input);
+    RASQL_RETURN_IF_ERROR(CheckHeight(*e));
     return AstExprPtr(std::move(e));
   }
   return ParsePrimary();
@@ -479,6 +502,8 @@ Result<AstExprPtr> Parser::ParsePrimary() {
     }
     case TokenType::kLParen: {
       Advance();
+      Nesting nesting(&depth_);
+      if (depth_ > kMaxExprDepth) return NestingError();
       RASQL_ASSIGN_OR_RETURN(AstExprPtr e, ParseExpr());
       RASQL_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
       return e;
@@ -496,8 +521,13 @@ Result<AstExprPtr> Parser::ParsePrimary() {
           auto star = std::make_unique<AstExpr>();
           star->kind = AstExpr::Kind::kStar;
           e->lhs = std::move(star);
+          e->height = 2;
         } else if (Peek().type != TokenType::kRParen) {
+          Nesting nesting(&depth_);
+          if (depth_ > kMaxExprDepth) return NestingError();
           RASQL_ASSIGN_OR_RETURN(e->lhs, ParseExpr());
+          e->height = 1 + e->lhs->height;
+          RASQL_RETURN_IF_ERROR(CheckHeight(*e));
         }
         RASQL_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
         return AstExprPtr(std::move(e));

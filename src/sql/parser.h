@@ -21,6 +21,12 @@ namespace rasql::sql {
 /// and `;`-separated scripts.
 class Parser {
  public:
+  /// Deepest expression nesting the parser accepts: both the parser's own
+  /// recursion (parentheses, NOT, unary minus, aggregate arguments) and the
+  /// height of every expression tree it builds (AstExpr::height) are
+  /// capped here. Deeper input is a parse error, not a stack overflow.
+  static constexpr int kMaxExprDepth = 256;
+
   /// Parses a single query (optionally WITH-prefixed).
   static common::Result<Query> ParseQuery(const std::string& sql);
 
@@ -39,6 +45,22 @@ class Parser {
   common::Status ExpectKeyword(const char* kw);
   common::Status ExpectContextualBy();
   common::Status ErrorHere(const std::string& message) const;
+  /// The typed parse error for input nested deeper than kMaxExprDepth.
+  common::Status NestingError() const;
+  /// NestingError when `e` is taller than kMaxExprDepth.
+  common::Status CheckHeight(const AstExpr& e) const;
+
+  /// One level of parser recursion for the lifetime of the scope.
+  class Nesting {
+   public:
+    explicit Nesting(int* depth) : depth_(depth) { ++*depth_; }
+    ~Nesting() { --*depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    int* depth_;
+  };
 
   common::Result<Statement> ParseStatement();
   common::Result<std::unique_ptr<CreateViewStmt>> ParseCreateView();
@@ -61,6 +83,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  /// Open nesting levels (see kMaxExprDepth).
+  int depth_ = 0;
 };
 
 /// Maps "min"/"max"/"sum"/"count" (case-insensitive) to the aggregate enum;

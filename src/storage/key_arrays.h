@@ -1,0 +1,109 @@
+#ifndef RASQL_STORAGE_KEY_ARRAYS_H_
+#define RASQL_STORAGE_KEY_ARRAYS_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "storage/row.h"
+#include "storage/schema.h"
+#include "storage/value.h"
+
+namespace rasql::storage {
+
+class Relation;
+
+/// A bag of rows held column-major as typed key arrays — the unit the
+/// canonical sort and the k-way merge of sorted runs work on. A column
+/// whose cells are all non-null int64 (or all non-null double) is one
+/// contiguous typed array compared with integer (or CompareDoubles)
+/// comparisons; any other column — strings, nulls, mixed types — falls
+/// back to boxed Values compared with CanonicalCompare. Every comparison
+/// is therefore exactly CanonicalCompare on the materialized cells, and
+/// rows narrower than `num_columns()` (a width-change-sealed relation)
+/// order by their common prefix, shorter first, like RowLess.
+class KeyArrays {
+ public:
+  KeyArrays() = default;
+  explicit KeyArrays(size_t num_columns) : columns_(num_columns) {}
+
+  /// The relation's rows in order; typed columns copy whole chunk arrays.
+  static KeyArrays FromRelation(const Relation& rel);
+
+  size_t num_rows() const { return num_rows_; }
+  size_t num_columns() const { return columns_.size(); }
+  /// Capacity hint for AppendRow; applied as each column's storage is
+  /// decided by its first cell.
+  void Reserve(size_t n) { reserve_ = n; }
+
+  /// Appends one row (at most `num_columns()` cells). A cell whose type
+  /// disagrees with its column's typed array migrates that column to
+  /// boxed Values, preserving every earlier cell exactly.
+  void AppendRow(const Row& row);
+
+  /// Canonical three-way comparison of rows `a` and `b` of this bag.
+  int Compare(size_t a, size_t b) const {
+    return Compare(*this, a, *this, b);
+  }
+  /// Canonical three-way comparison across two bags whose columns may be
+  /// stored differently (e.g. typed in one sorted run, boxed in another).
+  static int Compare(const KeyArrays& x, size_t a, const KeyArrays& y,
+                     size_t b);
+
+  /// Stable canonical sort in place: rows that compare equal keep their
+  /// relative order, so the result equals std::stable_sort under RowLess.
+  void Sort();
+
+  /// Overwrites `*out` with row `row` (resized to the row's width).
+  void MaterializeRow(size_t row, Row* out) const;
+
+  /// Appends rows [0, num_rows()) in order to `*out`.
+  void AppendTo(Relation* out) const;
+
+ private:
+  friend Relation MergeSortedRuns(const Schema& schema,
+                                  const std::vector<KeyArrays>& runs);
+
+  size_t width(size_t row) const {
+    return widths_.empty() ? columns_.size() : widths_[row];
+  }
+  /// True when every row spans all columns and every column is a typed
+  /// int64 array — the shape the specialized comparators handle.
+  bool AllInt64() const;
+
+  struct Column {
+    enum class Kind : uint8_t { kEmpty, kInt64, kDouble, kBoxed };
+    Kind kind = Kind::kEmpty;
+    std::vector<int64_t> i64;
+    std::vector<double> f64;
+    std::vector<Value> boxed;
+
+    Value ValueAt(size_t row) const;
+    /// Appends `v` as row `rows_before`, migrating the column to boxed
+    /// Values on a type change. The first present cell decides the
+    /// storage and backfills placeholders for the narrower rows before it.
+    void Append(const Value& v, size_t rows_before);
+    /// Placeholder for a row too narrow to have this column.
+    void AppendAbsent();
+    void MigrateToBoxed();
+    void Reserve(size_t n);
+  };
+
+  static int CompareCells(const Column& x, size_t a, const Column& y,
+                          size_t b);
+
+  std::vector<Column> columns_;
+  /// Per-row widths; empty while every row spans all columns.
+  std::vector<uint32_t> widths_;
+  size_t num_rows_ = 0;
+  size_t reserve_ = 0;
+};
+
+/// K-way merges bags that are each sorted (KeyArrays::Sort) into one
+/// canonical relation with `schema`. Rows that compare equal come out in
+/// run order, so the result equals a stable sort of the runs' concatenation.
+Relation MergeSortedRuns(const Schema& schema,
+                         const std::vector<KeyArrays>& runs);
+
+}  // namespace rasql::storage
+
+#endif  // RASQL_STORAGE_KEY_ARRAYS_H_

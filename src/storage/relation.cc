@@ -1,6 +1,6 @@
 #include "storage/relation.h"
 
-#include <algorithm>
+#include "storage/key_arrays.h"
 
 namespace rasql::storage {
 
@@ -47,22 +47,33 @@ size_t Relation::ByteSize() const {
 }
 
 void Relation::SortRows() {
-  std::vector<Row> rows = MaterializeRows();
-  std::sort(rows.begin(), rows.end(), RowLess());
+  KeyArrays keys = KeyArrays::FromRelation(*this);
+  keys.Sort();
   Clear();
-  for (Row& row : rows) AppendRow(row);
+  keys.AppendTo(this);
 }
 
 void Relation::Dedup() {
-  std::vector<Row> rows = MaterializeRows();
-  std::sort(rows.begin(), rows.end(), RowLess());
-  rows.erase(std::unique(rows.begin(), rows.end(),
-                         [](const Row& a, const Row& b) {
-                           return RowEq()(a, b);
-                         }),
-             rows.end());
+  KeyArrays keys = KeyArrays::FromRelation(*this);
+  keys.Sort();
   Clear();
-  for (Row& row : rows) AppendRow(row);
+  Row row;
+  for (size_t r = 0; r < keys.num_rows(); ++r) {
+    if (r > 0 && keys.Compare(r - 1, r) == 0) continue;
+    keys.MaterializeRow(r, &row);
+    AppendRow(row);
+  }
+}
+
+void Relation::AppendChunks(Relation&& other) {
+  for (ColumnChunk& chunk : other.chunks_) {
+    // A short tail chunk sealed mid-relation breaks O(1) row location.
+    if (!chunks_.empty() && !chunks_.back().full()) uniform_ = false;
+    chunk_begins_.push_back(num_rows_);
+    num_rows_ += chunk.num_rows();
+    chunks_.push_back(std::move(chunk));
+  }
+  other.Clear();
 }
 
 std::string Relation::ToString(size_t max_rows) const {
@@ -103,13 +114,12 @@ Relation MakeIntRelation(const std::vector<std::string>& names,
 
 bool SameBag(const Relation& a, const Relation& b) {
   if (a.size() != b.size()) return false;
-  std::vector<Row> ra = a.MaterializeRows();
-  std::vector<Row> rb = b.MaterializeRows();
-  std::sort(ra.begin(), ra.end(), RowLess());
-  std::sort(rb.begin(), rb.end(), RowLess());
-  RowEq eq;
-  for (size_t i = 0; i < ra.size(); ++i) {
-    if (!eq(ra[i], rb[i])) return false;
+  KeyArrays ka = KeyArrays::FromRelation(a);
+  KeyArrays kb = KeyArrays::FromRelation(b);
+  ka.Sort();
+  kb.Sort();
+  for (size_t i = 0; i < ka.num_rows(); ++i) {
+    if (KeyArrays::Compare(ka, i, kb, i) != 0) return false;
   }
   return true;
 }

@@ -181,11 +181,17 @@ class Relation {
   /// feeds the shuffle/broadcast cost model.
   size_t ByteSize() const;
 
-  /// Sorts rows lexicographically — canonical form for test comparisons.
+  /// Sorts rows into the canonical order (RowLess / CanonicalCompare) —
+  /// a stable typed sort over KeyArrays (storage/key_arrays.h).
   void SortRows();
 
-  /// Removes duplicate rows (set semantics); sorts as a side effect.
+  /// Removes duplicate rows (set semantics: rows equal under the canonical
+  /// order); sorts as a side effect, keeping the first of each run.
   void Dedup();
+
+  /// Moves `other`'s chunks onto the end of this relation without copying
+  /// rows; `other` is left empty.
+  void AppendChunks(Relation&& other);
 
   /// Multi-line "v1|v2|..." table rendering (rows in current order).
   std::string ToString(size_t max_rows = 20) const;
@@ -219,7 +225,8 @@ Relation MakeIntRelation(const std::vector<std::string>& names,
                          const std::vector<std::vector<int64_t>>& rows);
 
 /// True when the two relations contain the same bag of rows (order-
-/// insensitive); used heavily by tests and the PreM validator.
+/// insensitive, rows compared under the canonical order); used heavily by
+/// tests, the naive fixpoint's convergence check and the PreM validator.
 bool SameBag(const Relation& a, const Relation& b);
 
 /// True when the two relations contain the same rows in the same order.

@@ -72,12 +72,14 @@ struct RowEq {
   }
 };
 
-/// Lexicographic row comparison (used by sort-merge join and ORDER BY).
+/// Lexicographic row comparison under the canonical value order
+/// (CanonicalCompare, so NaN sorts after every number instead of tying
+/// with it); on a common prefix the shorter row sorts first.
 struct RowLess {
   bool operator()(const Row& a, const Row& b) const {
     const size_t n = a.size() < b.size() ? a.size() : b.size();
     for (size_t i = 0; i < n; ++i) {
-      const int c = a[i].Compare(b[i]);
+      const int c = CanonicalCompare(a[i], b[i]);
       if (c != 0) return c < 0;
     }
     return a.size() < b.size();

@@ -52,6 +52,20 @@ int Value::Compare(const Value& other) const {
   }
 }
 
+int CanonicalCompare(const Value& a, const Value& b) {
+  const bool a_num =
+      a.type() == ValueType::kInt64 || a.type() == ValueType::kDouble;
+  const bool b_num =
+      b.type() == ValueType::kInt64 || b.type() == ValueType::kDouble;
+  if (a_num && b_num) {
+    if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64) {
+      return (a.AsInt() > b.AsInt()) - (a.AsInt() < b.AsInt());
+    }
+    return CompareDoubles(a.AsNumeric(), b.AsNumeric());
+  }
+  return a.Compare(b);
+}
+
 uint64_t Value::Hash() const {
   switch (type_) {
     case ValueType::kNull:

@@ -61,9 +61,10 @@ class Value {
     return type_ == ValueType::kInt64 ? static_cast<double>(i64_) : f64_;
   }
 
-  /// Total ordering used for joins/aggregates/sorting. Values of different
-  /// types compare by type tag first (nulls lowest), except int64/double
-  /// which compare numerically.
+  /// Ordering used for joins/aggregates/filters. Values of different types
+  /// compare by type tag first (nulls lowest), except int64/double which
+  /// compare numerically. NaN compares equal to every number here, so
+  /// canonical sorting uses CanonicalCompare instead.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
@@ -92,6 +93,25 @@ class Value {
   };
   std::string str_;
 };
+
+/// The canonical three-way order on doubles: numeric order with -0.0 ==
+/// 0.0, and NaN after every number and equal to every NaN. Unlike the raw
+/// `<`/`>` pair (which makes NaN "equal" to everything), this is a total
+/// order, so a sort under it is independent of input order (DESIGN.md §16).
+inline int CompareDoubles(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  const bool a_nan = a != a;
+  const bool b_nan = b != b;
+  if (a_nan == b_nan) return 0;
+  return a_nan ? 1 : -1;
+}
+
+/// The canonical value order: Value::Compare, except that NaN sorts after
+/// every number and equal to NaN (CompareDoubles). RowLess, row sorting,
+/// Dedup, SameBag and the fixpoint engines' canonical collect all use it.
+int CanonicalCompare(const Value& a, const Value& b);
 
 inline std::ostream& operator<<(std::ostream& os, const Value& v) {
   return os << v.ToString();

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "engine/rasql_context.h"
 #include "expr/compiled_expr.h"
 #include "expr/expr.h"
+#include "storage/relation.h"
 
 namespace rasql::expr {
 namespace {
 
+using storage::Relation;
 using storage::Row;
+using storage::Schema;
 using storage::Value;
 using storage::ValueType;
 
@@ -128,6 +136,65 @@ TEST(CompiledExprTest, RejectsStringExpressions) {
   auto e = MakeBinary(BinaryOp::kEq, MakeColumnRef(2, ValueType::kString),
                       MakeLiteral(Value::String("abc")));
   EXPECT_FALSE(CompiledExpr::Compile(*e).has_value());
+}
+
+/// `1 + (1 + (... (1 + x)))` nested `levels` deep: a right-nested chain
+/// whose postfix program needs levels + 1 stack slots.
+ExprPtr RightNestedSum(int levels) {
+  ExprPtr e = MakeColumnRef(0, ValueType::kInt64);
+  for (int i = 0; i < levels; ++i) {
+    e = MakeBinary(BinaryOp::kAdd, MakeLiteral(Value::Int(1)), std::move(e));
+  }
+  return e;
+}
+
+TEST(CompiledExprTest, RejectsProgramsDeeperThanItsStack) {
+  const int fits = CompiledExpr::kMaxStack - 1;
+  auto shallow = RightNestedSum(fits);
+  auto compiled = CompiledExpr::Compile(*shallow);
+  ASSERT_TRUE(compiled.has_value());
+  EXPECT_EQ(compiled->EvalValue(TestRow()).AsInt(), 10 + fits);
+  // One more level needs kMaxStack + 1 slots: refused, so callers fall
+  // back to the interpreter instead of overrunning the fixed stack.
+  EXPECT_FALSE(CompiledExpr::Compile(*RightNestedSum(fits + 1)).has_value());
+  auto deep = RightNestedSum(70);
+  EXPECT_FALSE(CompiledExpr::Compile(*deep).has_value());
+  EXPECT_EQ(deep->Eval(TestRow()).AsInt(), 80);
+}
+
+TEST(CompiledExprTest, EngineInterpretsDeepExpressionsInsteadOfOverflowing) {
+  // 70 right-nested additions need 71 stack slots — more than the compiled
+  // program's fixed stack holds — in both the select list and the filter.
+  std::string nested = "edge.Src";
+  for (int i = 0; i < 70; ++i) nested = "1 + (" + nested + ")";
+  const std::string sql =
+      "SELECT " + nested + " FROM edge WHERE " + nested + " < 73";
+  Relation edge{Schema::Of({{"Src", ValueType::kInt64},
+                            {"Dst", ValueType::kInt64},
+                            {"Cost", ValueType::kDouble}})};
+  const std::vector<std::pair<int64_t, int64_t>> arcs = {
+      {0, 1}, {1, 2}, {2, 3}, {3, 4}, {9, 0}};
+  for (const auto& [src, dst] : arcs) {
+    edge.Add({Value::Int(src), Value::Int(dst), Value::Double(1.0)});
+  }
+  for (size_t batch_rows : {size_t{0}, size_t{64}}) {
+    for (bool codegen : {true, false}) {
+      SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows) +
+                   " codegen=" + std::to_string(codegen));
+      engine::EngineConfig config;
+      config.runtime.batch_rows = batch_rows;
+      config.fixpoint.use_codegen = codegen;
+      engine::RaSqlContext ctx(config);
+      ASSERT_TRUE(ctx.RegisterTable("edge", edge).ok());
+      auto result = ctx.Execute(sql);
+      ASSERT_TRUE(result.ok()) << result.status();
+      ASSERT_EQ(result->relation.size(), 3u);
+      for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(result->relation.row(i)[0].AsInt(),
+                  static_cast<int64_t>(70 + i));
+      }
+    }
+  }
 }
 
 TEST(CompiledExprTest, OutputTypePreserved) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -57,14 +59,22 @@ Relation SeedEdges() {
   return datagen::ToEdgeRelation(datagen::GenerateRmat(opt));
 }
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct has no padding: uninitialised padding bytes would change the test
+// names from one run to the next.
+enum class EngineKind : int32_t { kLocal = 0, kDistributed = 1 };
+
 struct MatrixCase {
-  bool distributed;
-  int threads;
+  EngineKind engine;
+  int32_t threads;
   size_t batch_rows;
 };
+static_assert(sizeof(MatrixCase) ==
+              sizeof(EngineKind) + sizeof(int32_t) + sizeof(size_t));
 
 std::string CaseName(const ::testing::TestParamInfo<MatrixCase>& info) {
-  return std::string(info.param.distributed ? "dist" : "local") + "_t" +
+  const bool dist = info.param.engine == EngineKind::kDistributed;
+  return std::string(dist ? "dist" : "local") + "_t" +
          std::to_string(info.param.threads) + "_b" +
          std::to_string(info.param.batch_rows);
 }
@@ -74,7 +84,7 @@ class WarmColdIdentity : public ::testing::TestWithParam<MatrixCase> {
   engine::EngineConfig Config(bool incremental) const {
     engine::EngineConfig config;
     config.incremental = incremental;
-    config.distributed = GetParam().distributed;
+    config.distributed = GetParam().engine == EngineKind::kDistributed;
     config.cluster.num_workers = 4;
     config.cluster.num_partitions = 8;
     config.runtime.num_threads = GetParam().threads;
@@ -149,11 +159,16 @@ TEST_P(WarmColdIdentity, SsspMinPaths) { ExpectWarmMatchesCold(kSssp); }
 
 INSTANTIATE_TEST_SUITE_P(
     EnginesThreadsBatches, WarmColdIdentity,
-    ::testing::Values(MatrixCase{false, 1, 0}, MatrixCase{false, 2, 0},
-                      MatrixCase{false, 8, 0}, MatrixCase{false, 1, 64},
-                      MatrixCase{false, 8, 64}, MatrixCase{true, 1, 0},
-                      MatrixCase{true, 2, 0}, MatrixCase{true, 8, 0},
-                      MatrixCase{true, 1, 64}, MatrixCase{true, 8, 64}),
+    ::testing::Values(MatrixCase{EngineKind::kLocal, 1, 0},
+                      MatrixCase{EngineKind::kLocal, 2, 0},
+                      MatrixCase{EngineKind::kLocal, 8, 0},
+                      MatrixCase{EngineKind::kLocal, 1, 64},
+                      MatrixCase{EngineKind::kLocal, 8, 64},
+                      MatrixCase{EngineKind::kDistributed, 1, 0},
+                      MatrixCase{EngineKind::kDistributed, 2, 0},
+                      MatrixCase{EngineKind::kDistributed, 8, 0},
+                      MatrixCase{EngineKind::kDistributed, 1, 64},
+                      MatrixCase{EngineKind::kDistributed, 8, 64}),
     CaseName);
 
 // ---- Ineligible queries fall back cold --------------------------------

@@ -474,6 +474,28 @@ TEST(ServerTest, TypedErrorsForBadSqlAndUnknownStatement) {
   EXPECT_TRUE(ok.ok()) << ok.status();
 }
 
+TEST(ServerTest, OverlyNestedSqlIsAParseErrorAndServingContinues) {
+  TestServer ts;
+  Client client = ts.Connect();
+  // Far past the parser's nesting cap: an ERROR frame, not a crashed
+  // server.
+  const std::string deep =
+      "SELECT " + std::string(200000, '(') + "1" + std::string(200000, ')');
+  auto bad = client.Query(deep);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(client.last_error_code(), ErrorCode::kParse);
+
+  // A deep expression under the cap — one the compiled engine refuses —
+  // is served, on the same session and on a new one.
+  std::string nested = "Src";
+  for (int i = 0; i < 70; ++i) nested = "1 + (" + nested + ")";
+  auto ok = client.Query("SELECT " + nested + " FROM edge WHERE Dst = 2");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  Client other = ts.Connect();
+  auto again = other.Query("SELECT Src FROM edge WHERE Dst = 2");
+  EXPECT_TRUE(again.ok()) << again.status();
+}
+
 TEST(ServerTest, AdmissionControlRejectsWithTypedError) {
   // max_queue_depth=0 makes every request overflow the queue — the
   // deterministic version of "exec slots saturated, queue full".

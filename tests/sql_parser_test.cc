@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sql/lexer.h"
 #include "sql/parser.h"
 
@@ -211,6 +213,53 @@ TEST(ParserTest, ErrorsCarryPosition) {
   EXPECT_FALSE(Parser::ParseQuery("SELECT (1 + ").ok());
   EXPECT_FALSE(Parser::ParseQuery("SELECT 1 LIMIT x").ok());
   EXPECT_FALSE(Parser::ParseQuery("SELECT 1 extra garbage ,").ok());
+}
+
+std::string Parenthesized(int levels) {
+  return "SELECT " + std::string(levels, '(') + "1" +
+         std::string(levels, ')');
+}
+
+TEST(ParserTest, NestingDepthIsCapped) {
+  // Exactly at the cap parses; one level over is a typed parse error.
+  EXPECT_TRUE(Parser::ParseQuery(Parenthesized(Parser::kMaxExprDepth)).ok());
+  auto over = Parser::ParseQuery(Parenthesized(Parser::kMaxExprDepth + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), common::StatusCode::kParseError);
+  EXPECT_NE(over.status().message().find("nests deeper than"),
+            std::string::npos);
+  // Hostile depths fail the same way instead of overflowing the stack.
+  EXPECT_EQ(Parser::ParseQuery(Parenthesized(200000)).status().code(),
+            common::StatusCode::kParseError);
+  std::string negations = "SELECT ";
+  for (int i = 0; i < 200000; ++i) negations += "- ";
+  EXPECT_FALSE(Parser::ParseQuery(negations + "1").ok());
+  std::string nots = "SELECT a FROM t WHERE ";
+  for (int i = 0; i < 100000; ++i) nots += "NOT ";
+  EXPECT_FALSE(Parser::ParseQuery(nots + "a = 1").ok());
+}
+
+TEST(ParserTest, ExpressionHeightIsCapped) {
+  // A flat chain nests no parentheses but builds a left-deep tree whose
+  // height every downstream walker recurses over.
+  auto chain = [](int operands) {
+    std::string sql = "SELECT 1";
+    for (int i = 1; i < operands; ++i) sql += " + 1";
+    return sql;
+  };
+  EXPECT_TRUE(Parser::ParseQuery(chain(Parser::kMaxExprDepth / 2)).ok());
+  auto tall = Parser::ParseQuery(chain(Parser::kMaxExprDepth + 1));
+  ASSERT_FALSE(tall.ok());
+  EXPECT_EQ(tall.status().code(), common::StatusCode::kParseError);
+  EXPECT_FALSE(Parser::ParseQuery(chain(100000)).ok());
+
+  // A deep right-nested expression under the cap parses and keeps its
+  // shape: 1 + (1 + (... edge.Src)).
+  std::string nested = "edge.Src";
+  for (int i = 0; i < 70; ++i) nested = "1 + (" + nested + ")";
+  auto q = Parser::ParseQuery("SELECT " + nested + " FROM edge");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->body->items[0].expr->height, 71);
 }
 
 TEST(ParserTest, InsertLiteralRows) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "storage/relation.h"
 #include "storage/row.h"
 #include "storage/schema.h"
@@ -94,6 +99,41 @@ TEST(RowTest, LexicographicOrdering) {
   EXPECT_TRUE(less(a, b));
   EXPECT_FALSE(less(b, a));
   EXPECT_FALSE(less(a, a));
+
+  // NaN sorts after every number (infinity included) and ties with NaN,
+  // so the order stays a strict weak order and a sort is input-order
+  // independent.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Row n = {Value::Int(1), Value::Double(nan)};
+  Row neg_n = {Value::Int(1), Value::Double(-nan)};
+  Row big = {Value::Int(1), Value::Double(inf)};
+  Row small = {Value::Int(1), Value::Int(-5)};
+  EXPECT_TRUE(less(big, n));
+  EXPECT_TRUE(less(small, n));
+  EXPECT_TRUE(less(b, n));
+  EXPECT_FALSE(less(n, big));
+  EXPECT_FALSE(less(n, small));
+  EXPECT_FALSE(less(n, neg_n));
+  EXPECT_FALSE(less(neg_n, n));
+  // A NaN only matters after the columns before it tie.
+  Row later = {Value::Int(2), Value::Int(0)};
+  EXPECT_TRUE(less(n, later));
+  // Strings still sort after numbers, nulls before them.
+  EXPECT_TRUE(less(n, Row{Value::Int(1), Value::String("")}));
+  EXPECT_TRUE(less(Row{Value::Int(1), Value::Null()}, n));
+  // -0.0 and 0.0 tie, as do int64 and double cells that compare equal.
+  EXPECT_FALSE(less(Row{Value::Double(-0.0)}, Row{Value::Double(0.0)}));
+  EXPECT_FALSE(less(Row{Value::Double(0.0)}, Row{Value::Double(-0.0)}));
+  EXPECT_FALSE(less(Row{Value::Int(3)}, Row{Value::Double(3.0)}));
+
+  std::vector<Row> rows = {n, small, neg_n, big, b};
+  std::sort(rows.begin(), rows.end(), less);
+  EXPECT_EQ(rows[0][1].AsInt(), -5);
+  EXPECT_EQ(rows[1][1].AsInt(), 3);
+  EXPECT_EQ(rows[2][1].AsDouble(), inf);
+  EXPECT_TRUE(std::isnan(rows[3][1].AsDouble()));
+  EXPECT_TRUE(std::isnan(rows[4][1].AsDouble()));
 }
 
 TEST(RelationTest, MakeIntRelation) {
