@@ -40,6 +40,11 @@ RASQL_VERIFY_STAGES=1 \
 # the parallel Partition writes destinations through raw chunk offsets.
 "${BUILD_DIR}/tests/canonical_collect_test"
 
+# Typed data-plane gate under ASan (DESIGN.md §17): the group table probes
+# its slot array by hash bits and indexes typed key columns by group, and
+# the row-oracle suite drives every column shape through it.
+"${BUILD_DIR}/tests/group_table_test"
+
 # Parallel-runtime gate: TSan excludes ASan, so the work-stealing executor
 # and the threaded fixpoint tests get their own build. Only the four test
 # binaries that exercise real threads are built and run — a full TSan build
@@ -51,7 +56,7 @@ cmake -B "${TSAN_BUILD_DIR}" -S . \
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target runtime_test dist_test fixpoint_test morsel_test \
            columnar_test vec_program_test concurrency_test server_test \
-           incremental_test canonical_collect_test
+           incremental_test canonical_collect_test group_table_test
 "${TSAN_BUILD_DIR}/tests/runtime_test"
 "${TSAN_BUILD_DIR}/tests/dist_test"
 "${TSAN_BUILD_DIR}/tests/fixpoint_test"
@@ -81,6 +86,11 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 # parallel Partition hashes chunks and gathers partitions concurrently, at
 # threads {1,2,8}.
 "${TSAN_BUILD_DIR}/tests/canonical_collect_test"
+
+# Typed data plane under TSan (DESIGN.md §17): every partition task owns its
+# SetRDD group table, and TakeSortedRun moves the table's key arrays out
+# inside the task; the suite runs the tables the engines share that way.
+"${TSAN_BUILD_DIR}/tests/group_table_test"
 
 # Morsel-split matrix under TSan: split sub-tasks write caller-owned slots
 # concurrently with finalize tasks being released per partition, and the

@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 if grep -rn 'mutable_rows' src tests bench examples --include='*.cc' \
     --include='*.h' --include='*.cpp' | grep -v '^src/storage/'; then
   echo "tidy.sh: FAIL — mutable_rows() no longer exists; use the" \
-       "Relation row-view API (AppendRow/TakeRows/ForEachRow)" >&2
+       "Relation row-view API (AppendRow/ForEachRow/MaterializeRows)" >&2
   exit 1
 fi
 # 2. Direct includes of storage/row.h are confined to the layers that own
@@ -41,6 +41,15 @@ if grep -rn 'VecCompare\|AnalyzeVecCompare' src tests bench examples \
     --include='*.cc' --include='*.h' --include='*.cpp'; then
   echo "tidy.sh: FAIL — VecCompare was superseded by expr::VecProgram;" \
        "compile batch predicates through expr/vec_program.h" >&2
+  exit 1
+fi
+# 4. The fixpoint data plane is row-free (DESIGN.md §17): grouping and
+#    SetRDD state go through storage::GroupTable, so no Row-keyed hash
+#    container (or RowHash) may come back under src/dist/ or src/fixpoint/.
+if grep -rn -E 'unordered_(map|set)<[^>]*Row|RowHash' src/dist src/fixpoint \
+    --include='*.cc' --include='*.h'; then
+  echo "tidy.sh: FAIL — group rows through storage::GroupTable, not" \
+       "Row-keyed hash containers, in src/dist/ and src/fixpoint/" >&2
   exit 1
 fi
 echo "tidy.sh: columnar-API grep gates passed"

@@ -1,6 +1,6 @@
 #include "baselines/sqlloop/sql_loop.h"
 
-#include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "dist/aggregates.h"
@@ -18,7 +18,6 @@ using dist::AggSpec;
 using dist::StageSpec;
 using dist::TaskContext;
 using storage::Relation;
-using storage::Row;
 
 namespace {
 
@@ -32,7 +31,7 @@ constexpr verify::AccessMode kSingleTask = verify::AccessMode::kSingleTask;
 /// splitting the work into P slices executed as one cluster stage. The
 /// base tables are re-read in full by every statement (vanilla Spark SQL
 /// re-shuffles them every iteration — no cached co-partitioning).
-Result<std::vector<Row>> JoinStage(
+Result<Relation> JoinStage(
     const RecursiveView& view,
     const std::map<std::string, const Relation*>& tables,
     const Relation& bound, size_t base_bytes, dist::Cluster* cluster,
@@ -40,7 +39,7 @@ Result<std::vector<Row>> JoinStage(
   const int P = cluster->config().num_partitions;
   // Per-task candidate slots, merged after the barrier in partition order
   // so the result is identical at any thread count.
-  std::vector<std::vector<Row>> cand(P);
+  std::vector<Relation> cand(P, Relation(view.schema));
   runtime::StageStatus failure(P);
   StageSpec stage;
   stage.name = stage_name;
@@ -52,10 +51,9 @@ Result<std::vector<Row>> JoinStage(
     const int p = task.partition();
     // Slice the bound relation round-robin across tasks.
     Relation slice(bound.schema());
-    Row scratch;
     for (size_t i = p; i < bound.size(); i += P) {
-      bound.MaterializeRowInto(i, &scratch);
-      slice.Add(scratch);
+      const storage::RowAccessor row = bound.row(i);
+      slice.AppendRowFrom(row.chunk(), row.chunk_row());
     }
     physical::ExecContext ctx;
     ctx.tables = tables;
@@ -71,9 +69,7 @@ Result<std::vector<Row>> JoinStage(
         break;
       }
       bytes += result->ByteSize();
-      for (Row& row : result->TakeRows()) {
-        cand[p].push_back(std::move(row));
-      }
+      cand[p].AppendChunks(std::move(*result));
     }
     // Candidates are shuffled by key, and the base relation is re-shuffled
     // for the join (no cached partitioning across statements).
@@ -81,10 +77,8 @@ Result<std::vector<Row>> JoinStage(
         std::vector<size_t>(P, (bytes + base_bytes / P) / P));
   });
   RASQL_RETURN_IF_ERROR(failure.First());
-  std::vector<Row> candidates;
-  for (int p = 0; p < P; ++p) {
-    for (Row& row : cand[p]) candidates.push_back(std::move(row));
-  }
+  Relation candidates(view.schema);
+  for (int p = 0; p < P; ++p) candidates.AppendChunks(std::move(cand[p]));
   return candidates;
 }
 
@@ -111,25 +105,25 @@ Result<Relation> RunSqlLoop(
   // Base case (one SQL statement).
   physical::ExecContext base_ctx;
   base_ctx.tables = tables;
-  std::vector<Row> base_rows;
+  Relation base(view.schema);
   for (const plan::PlanPtr& plan : view.base_plans) {
     RASQL_ASSIGN_OR_RETURN(Relation rel,
                            physical::Execute(*plan, base_ctx));
-    for (Row& row : rel.TakeRows()) base_rows.push_back(std::move(row));
+    base.AppendChunks(std::move(rel));
   }
-  base_rows = dist::PartialAggregate(std::move(base_rows), spec);
+  Relation base_rows = dist::PartialAggregate(base, spec);
 
   // Mutable state held like the fixpoint's, but every union below also
   // pays the immutable-RDD copy of the full relation.
   dist::SetRddPartition state(view.schema, spec);
-  std::vector<Row> delta;
+  Relation delta(view.schema);
   state.MergeDelta(base_rows, &delta);
 
   const double time_before = cluster->metrics().TotalSimTime();
 
   if (mode == SqlLoopMode::kNaive) {
     // all_{i+1} = γ(base ∪ T(all_i)); compare with all_i.
-    Relation all(view.schema, std::move(base_rows));
+    Relation all = std::move(base_rows);
     all.SortRows();
     while (true) {
       if (stats->iterations >= max_iterations) {
@@ -139,7 +133,7 @@ Result<Relation> RunSqlLoop(
       ++stats->iterations;
       const double t0 = cluster->metrics().TotalSimTime();
       RASQL_ASSIGN_OR_RETURN(
-          std::vector<Row> candidates,
+          Relation candidates,
           JoinStage(view, tables, all, base_bytes, cluster,
                     "sqlnaive-join-" + std::to_string(stats->iterations)));
 
@@ -159,7 +153,7 @@ Result<Relation> RunSqlLoop(
         // X_{n+1} = γ(base ∪ T(X_n)) — everything re-derived and
         // re-aggregated from scratch (do NOT fold X_n in: that would
         // double-count sum/count groups).
-        std::vector<Row> rows = std::move(candidates);
+        Relation rows = std::move(candidates);
         physical::ExecContext ctx;
         ctx.tables = tables;
         for (const plan::PlanPtr& plan : view.base_plans) {
@@ -168,12 +162,9 @@ Result<Relation> RunSqlLoop(
             task.Fail(result.status());
             return;
           }
-          for (Row& row : result->TakeRows()) {
-            rows.push_back(std::move(row));
-          }
+          rows.AppendChunks(std::move(*result));
         }
-        next = Relation(view.schema,
-                        dist::PartialAggregate(std::move(rows), spec));
+        next = dist::PartialAggregate(rows, spec);
         next.SortRows();
       });
       RASQL_RETURN_IF_ERROR(failure.First());
@@ -208,10 +199,9 @@ Result<Relation> RunSqlLoop(
     ++stats->iterations;
     const double t0 = cluster->metrics().TotalSimTime();
 
-    Relation delta_rel(view.schema, std::move(delta));
-    delta.clear();
+    const Relation delta_rel = std::exchange(delta, Relation(view.schema));
     RASQL_ASSIGN_OR_RETURN(
-        std::vector<Row> candidates,
+        Relation candidates,
         JoinStage(view, tables, delta_rel, base_bytes, cluster,
                   "sqlsn-join-" + std::to_string(stats->iterations)));
 
@@ -222,7 +212,7 @@ Result<Relation> RunSqlLoop(
     agg_stage.Claim(&candidates, kSingleTask, "candidates");
     cluster->RunStage(agg_stage, [&](TaskContext& task) {
       if (task.partition() != 0) return;
-      candidates = dist::PartialAggregate(std::move(candidates), spec);
+      candidates = dist::PartialAggregate(candidates, spec);
     });
     stats->delta_time_sec += cluster->metrics().TotalSimTime() - t0;
 

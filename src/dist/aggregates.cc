@@ -1,14 +1,16 @@
 #include "dist/aggregates.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "common/check.h"
 
 namespace rasql::dist {
 
 using expr::AggregateFunction;
-using storage::Row;
+using storage::GroupTable;
+using storage::Relation;
 using storage::Value;
+using storage::ValueType;
 
 AggSpec AggSpec::For(int num_columns, int agg_column,
                      AggregateFunction function) {
@@ -57,82 +59,111 @@ bool ImprovesAgg(AggregateFunction function, const Value& current,
   }
 }
 
-std::vector<Row> PartialAggregate(std::vector<Row> rows,
-                                  const AggSpec& spec) {
-  if (!spec.has_aggregate()) {
-    // Set semantics: deduplicate.
-    std::unordered_map<Row, bool, storage::RowHash, storage::RowEq> seen;
-    std::vector<Row> out;
-    out.reserve(rows.size());
-    for (Row& row : rows) {
-      if (seen.try_emplace(row, true).second) out.push_back(std::move(row));
+void CombineInto(const AggSpec& spec, const storage::ColumnChunk& chunk,
+                 size_t row, uint32_t g, GroupTable* table) {
+  const size_t col = static_cast<size_t>(spec.agg_column);
+  const storage::ColumnChunk::ColumnData& data = chunk.column(col);
+  if (!data.variant && !data.IsNull(row)) {
+    // Same-typed cells: CombineAgg's result without boxing either side.
+    // min keeps the current value unless the cell orders strictly before
+    // it (Value::Compare), max symmetrically; sum/count add.
+    if (data.tag == ValueType::kInt64 &&
+        table->value_kind() == GroupTable::ValueKind::kInt64) {
+      int64_t& acc = table->Int64Value(g);
+      const int64_t v = data.i64[row];
+      switch (spec.function) {
+        case AggregateFunction::kMin:
+          if (v < acc) acc = v;
+          return;
+        case AggregateFunction::kMax:
+          if (v > acc) acc = v;
+          return;
+        case AggregateFunction::kSum:
+        case AggregateFunction::kCount:
+          acc = acc + v;
+          return;
+        case AggregateFunction::kNone:
+          break;
+      }
     }
-    return out;
-  }
-
-  // Group by key columns; combine the aggregate column.
-  std::unordered_map<Row, Value, storage::RowHash, storage::RowEq> groups;
-  groups.reserve(rows.size());
-  for (const Row& row : rows) {
-    Row key = storage::ProjectKey(row, spec.key_columns);
-    const Value& v = row[spec.agg_column];
-    auto [it, inserted] = groups.try_emplace(std::move(key), v);
-    if (!inserted) it->second = CombineAgg(spec.function, it->second, v);
-  }
-
-  std::vector<Row> out;
-  out.reserve(groups.size());
-  const int num_columns =
-      static_cast<int>(spec.key_columns.size()) + 1;
-  for (auto& [key, value] : groups) {
-    Row row(num_columns);
-    for (size_t i = 0; i < spec.key_columns.size(); ++i) {
-      row[spec.key_columns[i]] = key[i];
+    if (data.tag == ValueType::kDouble &&
+        table->value_kind() == GroupTable::ValueKind::kDouble) {
+      double& acc = table->DoubleValue(g);
+      const double v = data.f64[row];
+      switch (spec.function) {
+        case AggregateFunction::kMin:
+          if (acc > v) acc = v;
+          return;
+        case AggregateFunction::kMax:
+          if (acc < v) acc = v;
+          return;
+        case AggregateFunction::kSum:
+        case AggregateFunction::kCount:
+          acc = acc + v;
+          return;
+        case AggregateFunction::kNone:
+          break;
+      }
     }
-    row[spec.agg_column] = value;
-    out.push_back(std::move(row));
   }
-  return out;
+  table->SetValue(g, CombineAgg(spec.function, table->ValueOf(g),
+                                chunk.ValueAt(row, col)));
 }
 
-std::vector<Row> PartialAggregate(const storage::Relation& rel,
-                                  const AggSpec& spec) {
-  if (!spec.has_aggregate()) {
-    std::unordered_map<Row, bool, storage::RowHash, storage::RowEq> seen;
-    std::vector<Row> out;
-    out.reserve(rel.size());
-    rel.ForEachRow([&](const Row& row) {
-      if (seen.try_emplace(row, true).second) out.push_back(row);
-    });
-    return out;
+bool ImproveInto(const AggSpec& spec, const storage::ColumnChunk& chunk,
+                 size_t row, uint32_t g, GroupTable* table) {
+  const size_t col = static_cast<size_t>(spec.agg_column);
+  const bool min = spec.function == AggregateFunction::kMin;
+  const storage::ColumnChunk::ColumnData& data = chunk.column(col);
+  if (!data.variant && !data.IsNull(row)) {
+    if (data.tag == ValueType::kInt64 &&
+        table->value_kind() == GroupTable::ValueKind::kInt64) {
+      int64_t& current = table->Int64Value(g);
+      const int64_t v = data.i64[row];
+      if (min ? v < current : v > current) {
+        current = v;
+        return true;
+      }
+      return false;
+    }
+    if (data.tag == ValueType::kDouble &&
+        table->value_kind() == GroupTable::ValueKind::kDouble) {
+      double& current = table->DoubleValue(g);
+      const double v = data.f64[row];
+      if (min ? v < current : v > current) {
+        current = v;
+        return true;
+      }
+      return false;
+    }
   }
+  const Value candidate = chunk.ValueAt(row, col);
+  if (!ImprovesAgg(spec.function, table->ValueOf(g), candidate)) return false;
+  table->SetValue(g, candidate);
+  return true;
+}
 
-  std::unordered_map<Row, Value, storage::RowHash, storage::RowEq> groups;
-  groups.reserve(rel.size());
-  Row key(spec.key_columns.size());
+Relation PartialAggregate(const Relation& rel, const AggSpec& spec) {
+  size_t width = spec.key_columns.size() + 1;
+  if (!spec.has_aggregate()) {
+    width = 0;
+    for (size_t ch = 0; ch < rel.num_chunks(); ++ch) {
+      width = std::max(width, rel.chunk(ch).num_columns());
+    }
+  }
+  GroupTable table(width, spec.key_columns,
+                   spec.has_aggregate() ? spec.agg_column : -1);
   for (size_t ch = 0; ch < rel.num_chunks(); ++ch) {
     const storage::ColumnChunk& chunk = rel.chunk(ch);
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
-      for (size_t i = 0; i < spec.key_columns.size(); ++i) {
-        key[i] = chunk.ValueAt(r, static_cast<size_t>(spec.key_columns[i]));
+      const auto [g, inserted] = table.FindOrInsert(chunk, r);
+      if (!inserted && spec.has_aggregate()) {
+        CombineInto(spec, chunk, r, g, &table);
       }
-      const Value v = chunk.ValueAt(r, static_cast<size_t>(spec.agg_column));
-      auto [it, inserted] = groups.try_emplace(key, v);
-      if (!inserted) it->second = CombineAgg(spec.function, it->second, v);
     }
   }
-
-  std::vector<Row> out;
-  out.reserve(groups.size());
-  const int num_columns = static_cast<int>(spec.key_columns.size()) + 1;
-  for (auto& [key_row, value] : groups) {
-    Row row(num_columns);
-    for (size_t i = 0; i < spec.key_columns.size(); ++i) {
-      row[spec.key_columns[i]] = key_row[i];
-    }
-    row[spec.agg_column] = value;
-    out.push_back(std::move(row));
-  }
+  Relation out(rel.schema());
+  table.rows().AppendTo(&out);
   return out;
 }
 

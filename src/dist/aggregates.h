@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "expr/expr.h"
+#include "storage/group_table.h"
 #include "storage/relation.h"
 
 namespace rasql::dist {
@@ -38,18 +39,26 @@ bool ImprovesAgg(expr::AggregateFunction function,
                  const storage::Value& current,
                  const storage::Value& candidate);
 
-/// Map-side partial aggregation (paper Alg. 5 line 5): collapses `rows` by
-/// key, combining aggregate values; reduces shuffle volume. For set
-/// semantics this deduplicates.
-std::vector<storage::Row> PartialAggregate(std::vector<storage::Row> rows,
-                                           const AggSpec& spec);
+/// Folds the aggregate cell (`row`, `spec.agg_column`) of `chunk` into
+/// group `g` of `table` exactly as CombineAgg(current, cell) would: min/max
+/// keep the better value, sum/count add. Typed cells combine in place.
+void CombineInto(const AggSpec& spec, const storage::ColumnChunk& chunk,
+                 size_t row, uint32_t g, storage::GroupTable* table);
 
-/// PartialAggregate over a chunked relation (frozen deltas, morsel slots):
-/// key and aggregate cells stream straight from the column arrays — no
-/// full-row materialization. Rows are visited in relation order, so the
-/// output is identical to the vector overload on the materialized rows.
-std::vector<storage::Row> PartialAggregate(const storage::Relation& rel,
-                                           const AggSpec& spec);
+/// For min/max: replaces group `g`'s aggregate with cell (`row`,
+/// `spec.agg_column`) of `chunk` when ImprovesAgg says the cell is strictly
+/// better, and returns whether it did.
+bool ImproveInto(const AggSpec& spec, const storage::ColumnChunk& chunk,
+                 size_t row, uint32_t g, storage::GroupTable* table);
+
+/// Map-side partial aggregation (paper Alg. 5 line 5): collapses `rel` by
+/// key, combining aggregate values; reduces shuffle volume. For set
+/// semantics this deduplicates whole rows. Groups come out in first-seen
+/// order, each with its first-seen key cells, and the relation keeps
+/// `rel`'s schema. Key and aggregate cells stream from the column arrays
+/// into a storage::GroupTable — no row is materialized.
+storage::Relation PartialAggregate(const storage::Relation& rel,
+                                   const AggSpec& spec);
 
 }  // namespace rasql::dist
 

@@ -53,7 +53,7 @@ std::string JobMetrics::Summary() const {
   return buf;
 }
 
-std::vector<storage::Row> TaskContext::ReadShuffle() {
+storage::Relation TaskContext::ReadShuffle() {
   RASQL_CHECK(!is_split_task());
   RASQL_CHECK(spec_->input_slices != nullptr);
   return spec_->input_slices->Gather(partition_);

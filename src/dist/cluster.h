@@ -185,7 +185,7 @@ class TaskContext {
   /// Gathers the rows addressed to this partition from the stage's input
   /// channel (all published slices; under the pipeline's dependencies that
   /// is every slice).
-  std::vector<storage::Row> ReadShuffle();
+  storage::Relation ReadShuffle();
 
   /// Deposits this task's map output into the stage's output channel and
   /// records its per-destination bytes for the cost model. The slices

@@ -59,29 +59,22 @@ PartitionedRelation Partition(const Relation& input,
   });
   runtime::ParallelFor(pool, num_partitions, [&](int p) {
     Relation* part = out.mutable_partition(p);
-    Row row;
     for (int c = 0; c < num_chunks; ++c) {
       const storage::ColumnChunk& chunk = input.chunk(c);
       const uint32_t* chunk_dest = dest.data() + input.chunk_begin(c);
       for (size_t r = 0; r < chunk.num_rows(); ++r) {
         if (chunk_dest[r] != static_cast<uint32_t>(p)) continue;
-        chunk.MaterializeRow(r, &row);
-        part->AppendRow(row);
+        part->AppendRowFrom(chunk, r);
       }
     }
   });
   return out;
 }
 
-std::vector<Row> GatherShuffle(const std::vector<ShuffleWrite>& writes,
-                               int dest) {
-  std::vector<Row> out;
-  size_t total = 0;
-  for (const ShuffleWrite& w : writes) total += w.slice_per_dest[dest].size();
-  out.reserve(total);
+Relation GatherShuffle(const std::vector<ShuffleWrite>& writes, int dest) {
+  Relation out;
   for (const ShuffleWrite& w : writes) {
-    w.slice_per_dest[dest].ForEachRow(
-        [&](const Row& row) { out.push_back(row); });
+    out.AppendChunks(Relation(w.slice_per_dest[dest]));
   }
   return out;
 }

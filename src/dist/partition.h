@@ -24,6 +24,12 @@ struct Partitioning {
     return static_cast<int>(storage::HashRowKey(row, key_columns) %
                             static_cast<uint64_t>(num_partitions));
   }
+  /// PartitionOf the materialized row `row` of `chunk`, hashed from its
+  /// column arrays.
+  int PartitionOf(const storage::ColumnChunk& chunk, size_t row) const {
+    return static_cast<int>(chunk.HashKey(row, key_columns) %
+                            static_cast<uint64_t>(num_partitions));
+  }
   bool operator==(const Partitioning& other) const {
     return key_columns == other.key_columns &&
            num_partitions == other.num_partitions;
@@ -82,17 +88,31 @@ struct ShuffleWrite {
   explicit ShuffleWrite(int num_partitions)
       : slice_per_dest(num_partitions), bytes_per_dest(num_partitions, 0) {}
 
-  void Add(const storage::Row& row, const Partitioning& partitioning) {
-    const int dest = partitioning.PartitionOf(row);
-    bytes_per_dest[dest] += storage::RowByteSize(row);
-    slice_per_dest[dest].AppendRow(row);
+  /// Routes row `row` of `chunk` to its destination's slice, copying the
+  /// cells from the column arrays.
+  void Add(const storage::ColumnChunk& chunk, size_t row,
+           const Partitioning& partitioning) {
+    const int dest = partitioning.PartitionOf(chunk, row);
+    bytes_per_dest[dest] += chunk.RowByteSize(row);
+    slice_per_dest[dest].AppendRowFrom(chunk, row);
+  }
+
+  /// Routes every row of `rel`, in order.
+  void AddAll(const storage::Relation& rel, const Partitioning& partitioning) {
+    for (size_t c = 0; c < rel.num_chunks(); ++c) {
+      const storage::ColumnChunk& chunk = rel.chunk(c);
+      for (size_t r = 0; r < chunk.num_rows(); ++r) {
+        Add(chunk, r, partitioning);
+      }
+    }
   }
 };
 
 /// Collects the slices addressed to partition `dest` from every map task's
-/// ShuffleWrite — the reduce-side read.
-std::vector<storage::Row> GatherShuffle(
-    const std::vector<ShuffleWrite>& writes, int dest);
+/// ShuffleWrite, in writer order — the reduce-side read. The slices'
+/// chunks are copied whole; no row is materialized.
+storage::Relation GatherShuffle(const std::vector<ShuffleWrite>& writes,
+                                int dest);
 
 }  // namespace rasql::dist
 

@@ -1,12 +1,11 @@
 #ifndef RASQL_DIST_SET_RDD_H_
 #define RASQL_DIST_SET_RDD_H_
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "dist/aggregates.h"
 #include "dist/partition.h"
+#include "storage/group_table.h"
 #include "storage/key_arrays.h"
 #include "storage/relation.h"
 
@@ -14,25 +13,22 @@ namespace rasql::dist {
 
 /// One partition of the `all` relation held as mutable hash state — the
 /// paper's SetRDD (Sec. 6.1). Union is O(new tuples) instead of copying the
-/// whole RDD; with an aggregate, the state is a key -> best/accumulated
-/// value map implementing Alg. 5's extended set-difference/union.
+/// whole RDD; with an aggregate, the state maps each key to its best or
+/// accumulated value, implementing Alg. 5's extended set-difference/union.
+/// The state is one storage::GroupTable (DESIGN.md §17): rows stay in typed
+/// key arrays from the shuffle slice to the sorted epilogue run.
 class SetRddPartition {
  public:
-  SetRddPartition(storage::Schema schema, AggSpec spec)
-      : schema_(std::move(schema)), spec_(std::move(spec)) {}
+  SetRddPartition(storage::Schema schema, AggSpec spec);
 
-  /// Merges candidate rows into the state. Rows that change the state (new
-  /// key, improved min/max, or a sum/count increment) are appended to
-  /// `*delta` in the form that must drive the next iteration:
-  ///   - set semantics / min / max: the stored row;
+  /// Merges candidate rows into the state, in slice order. Rows that
+  /// change the state (new key, improved min/max, or a sum/count
+  /// increment) are appended to `*delta` in the form that must drive the
+  /// next iteration — the candidate row itself:
+  ///   - set semantics / min / max: the row now stored;
   ///   - sum / count: the *increment* (new paths discovered this round).
-  void MergeDelta(const std::vector<storage::Row>& candidates,
-                  std::vector<storage::Row>* delta);
-
-  /// Same merge over a chunked candidate slice (shuffle payloads); rows are
-  /// visited in slice order, so the delta order matches the row overload.
   void MergeDelta(const storage::Relation& candidates,
-                  std::vector<storage::Row>* delta);
+                  storage::Relation* delta);
 
   /// Loads already-converged rows into the state without emitting a delta —
   /// the warm-start prologue (DESIGN.md §14). Aggregate rows overwrite any
@@ -40,33 +36,28 @@ class SetRddPartition {
   /// stream, so its value for a key IS the converged value.
   void Absorb(const storage::Relation& converged);
 
-  size_t size() const {
-    return spec_.has_aggregate() ? agg_state_.size() : set_state_.size();
-  }
+  size_t size() const { return state_.num_groups(); }
   /// Approximate bytes of cached state — feeds TaskIo::cached_state_bytes.
+  /// The RowByteSize sum of the rows that opened a group.
   size_t byte_size() const { return byte_size_; }
 
   const storage::Schema& schema() const { return schema_; }
 
-  /// Materializes the state as a relation (final fixpoint output).
+  /// Materializes the state as a relation (final fixpoint output), groups
+  /// in first-seen order.
   storage::Relation ToRelation() const;
+  /// Appends the state's rows, in group order, to `*out`.
+  void AppendTo(storage::Relation* out) const { state_.rows().AppendTo(out); }
 
-  /// Moves the state into typed key arrays sorted in the canonical order
-  /// and frees the hash state: the per-partition half of
-  /// SetRdd::CanonicalCollect. The partition is empty afterwards.
+  /// Moves the state's typed key arrays out, sorted in the canonical order:
+  /// the per-partition half of SetRdd::CanonicalCollect. The partition is
+  /// empty afterwards.
   storage::KeyArrays TakeSortedRun();
 
  private:
-  void MergeOne(const storage::Row& row, bool accumulates,
-                std::vector<storage::Row>* delta);
-
   storage::Schema schema_;
   AggSpec spec_;
-  std::unordered_set<storage::Row, storage::RowHash, storage::RowEq>
-      set_state_;
-  std::unordered_map<storage::Row, storage::Value, storage::RowHash,
-                     storage::RowEq>
-      agg_state_;
+  storage::GroupTable state_;
   size_t byte_size_ = 0;
 };
 
@@ -89,10 +80,10 @@ class SetRdd {
   storage::Relation Collect() const;
 
   /// The fixpoint epilogue (DESIGN.md §16): every partition, as one task
-  /// on `pool` (inline when null), turns its state into a sorted run of
-  /// typed key arrays and frees its hash state; the caller then k-way
-  /// merges the runs into chunks. Equals `Collect()` followed by
-  /// `SortRows()` byte for byte, and leaves every partition empty.
+  /// on `pool` (inline when null), sorts its state's key arrays into a run
+  /// and frees its hash slots; the caller then k-way merges the runs into
+  /// chunks. Equals `Collect()` followed by `SortRows()` byte for byte, and
+  /// leaves every partition empty.
   storage::Relation CanonicalCollect(runtime::ThreadPool* pool);
 
  private:

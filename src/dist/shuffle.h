@@ -92,16 +92,17 @@ class ShuffleChannel {
 
   /// Collects the rows addressed to `consumer` from every *published*
   /// producer, in ascending producer order, and marks the consumer done.
-  /// Under the all-slices dependency the pipeline declares, every producer
-  /// is published by the time a consumer runs, so this gathers the full
-  /// exchange — the partial-visibility behaviour exists so tests can pin
-  /// down that unpublished slices are never observed.
-  std::vector<storage::Row> Gather(int consumer) {
-    std::vector<storage::Row> rows;
+  /// The slices' chunks are copied whole into one relation; no row is
+  /// materialized. Under the all-slices dependency the pipeline declares,
+  /// every producer is published by the time a consumer runs, so this
+  /// gathers the full exchange — the partial-visibility behaviour exists so
+  /// tests can pin down that unpublished slices are never observed.
+  storage::Relation Gather(int consumer) {
+    storage::Relation rows;
     for (int src = 0; src < num_partitions_; ++src) {
       if (!readiness_.Published(src)) continue;
-      writes_[src].slice_per_dest[consumer].ForEachRow(
-          [&rows](const storage::Row& row) { rows.push_back(row); });
+      rows.AppendChunks(
+          storage::Relation(writes_[src].slice_per_dest[consumer]));
     }
     readiness_.MarkConsumed(consumer);
     return rows;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 #include <set>
+#include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -188,18 +189,19 @@ class StepEvaluator {
   using BaseBinding =
       std::function<const Relation*(const std::string&, int)>;
 
-  Result<std::vector<Row>> Eval(const Relation& delta, int partition,
-                                const BaseBinding& base_binding) {
+  /// Appends the branch's output rows over the whole delta to `*out`.
+  Status Eval(const Relation& delta, int partition,
+              const BaseBinding& base_binding, Relation* out) {
     if (shape_.simple && options_.join_algorithm ==
                              physical::JoinAlgorithm::kHash) {
-      return EvalFusedHash(delta, {0, delta.size()}, partition,
-                           base_binding);
+      return EvalFusedHash(delta, {0, delta.size()}, partition, base_binding,
+                           out);
     }
     if (shape_.simple &&
         options_.join_algorithm == physical::JoinAlgorithm::kSortMerge) {
-      return EvalSortMerge(delta, partition, base_binding);
+      return EvalSortMerge(delta, partition, base_binding, out);
     }
-    return EvalGeneric(delta, partition, base_binding);
+    return EvalGeneric(delta, partition, base_binding, out);
   }
 
   /// True when this step may be evaluated over delta sub-ranges whose
@@ -216,18 +218,16 @@ class StepEvaluator {
   /// Range form for morsel sub-tasks. Concurrent sub-tasks of the same
   /// partition may call this; the per-partition hash-table build is
   /// guarded by a once_flag and everything else is call-local.
-  Result<std::vector<Row>> Eval(const Relation& delta,
-                                storage::RowRange range, int partition,
-                                const BaseBinding& base_binding) {
+  Status Eval(const Relation& delta, storage::RowRange range, int partition,
+              const BaseBinding& base_binding, Relation* out) {
     RASQL_CHECK(DeltaSplittable());
-    return EvalFusedHash(delta, range, partition, base_binding);
+    return EvalFusedHash(delta, range, partition, base_binding, out);
   }
 
  private:
-  Result<std::vector<Row>> EvalFusedHash(const Relation& delta,
-                                         storage::RowRange range,
-                                         int partition,
-                                         const BaseBinding& base_binding) {
+  Status EvalFusedHash(const Relation& delta, storage::RowRange range,
+                       int partition, const BaseBinding& base_binding,
+                       Relation* out) {
     const Relation* base =
         base_binding(shape_.copart_table->table_name(), partition);
     if (base == nullptr) {
@@ -243,8 +243,8 @@ class StepEvaluator {
     });
     const physical::JoinHashTable& table = *hash_cache_[partition];
 
-    std::vector<Row> out;
     std::vector<int> matches;
+    Row projected;
     const int ref_width = shape_.ref->schema().num_columns();
     const int base_width = base->schema().num_columns();
     Row combined(ref_width + base_width);
@@ -262,15 +262,15 @@ class StepEvaluator {
         base->CopyRowTo(static_cast<size_t>(m), &combined,
                         static_cast<size_t>(base_at));
         if (predicate_ != nullptr && !predicate_->Eval(combined)) continue;
-        out.push_back(projector_->Eval(combined));
+        projector_->EvalInto(combined, &projected);
+        out->AppendRow(projected);
       }
     }
-    return out;
+    return Status::OK();
   }
 
-  Result<std::vector<Row>> EvalSortMerge(const Relation& delta,
-                                         int partition,
-                                         const BaseBinding& base_binding) {
+  Status EvalSortMerge(const Relation& delta, int partition,
+                       const BaseBinding& base_binding, Relation* out) {
     const Relation* base =
         base_binding(shape_.copart_table->table_name(), partition);
     if (base == nullptr) {
@@ -300,10 +300,10 @@ class StepEvaluator {
       return KeyLess(*a, shape_.delta_keys, *b, shape_.delta_keys);
     });
 
-    std::vector<Row> out;
     const int ref_width = shape_.ref->schema().num_columns();
     const int base_width = base->schema().num_columns();
     Row combined(ref_width + base_width);
+    Row projected;
     const int ref_at = shape_.ref_is_left ? 0 : base_width;
     const int base_at = shape_.ref_is_left ? ref_width : 0;
     const auto& order = sorted_cache_[partition];
@@ -342,18 +342,19 @@ class StepEvaluator {
             if (predicate_ != nullptr && !predicate_->Eval(combined)) {
               continue;
             }
-            out.push_back(projector_->Eval(combined));
+            projector_->EvalInto(combined, &projected);
+            out->AppendRow(projected);
           }
         }
         i = i_end;
         j = j_end;
       }
     }
-    return out;
+    return Status::OK();
   }
 
-  Result<std::vector<Row>> EvalGeneric(const Relation& delta, int partition,
-                                       const BaseBinding& base_binding) {
+  Status EvalGeneric(const Relation& delta, int partition,
+                     const BaseBinding& base_binding, Relation* out) {
     physical::ExecContext ctx;
     ctx.use_codegen = options_.use_codegen;
     ctx.batch_rows = batch_rows_;
@@ -365,7 +366,8 @@ class StepEvaluator {
     ctx.recursive_resolver =
         [&](const RecursiveRefNode&) -> const Relation* { return &delta; };
     RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*plan_, ctx));
-    return rel.TakeRows();
+    out->AppendChunks(std::move(rel));
+    return Status::OK();
   }
 
   static bool KeyLess(const Row& a, const std::vector<int>& ak, const Row& b,
@@ -649,28 +651,25 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   // delta over the appended rows; the prior converged state is absorbed
   // into the partitions below, before the seed merge runs against it.
   const WarmStartInput* warm = options.warm_start;
-  std::vector<Row> base_rows;
+  Relation base(view.schema);
   if (warm == nullptr) {
-    // The branches' chunks are concatenated, not materialized: the
-    // relation overload of PartialAggregate streams key and aggregate
-    // cells from the column arrays and visits rows in the same order as
-    // the row overload, so the pre-aggregated base case is identical.
-    Relation base(view.schema);
+    // The branches' chunks are concatenated, never materialized as rows,
+    // and PartialAggregate streams their cells into its group table.
     for (const plan::PlanPtr& p : view.base_plans) {
       RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*p, base_ctx));
       ++stats->plan_executions;
       base.AppendChunks(std::move(rel));
     }
-    base_rows = dist::PartialAggregate(base, spec);
   } else {
-    RASQL_ASSIGN_OR_RETURN(std::vector<Row> seed,
+    RASQL_ASSIGN_OR_RETURN(base,
                            EvaluateWarmSeed(view, *warm, base_ctx, stats));
     stats->warm_starts = 1;
-    base_rows = dist::PartialAggregate(std::move(seed), spec);
   }
+  const Relation base_rows = dist::PartialAggregate(base, spec);
+  base.Clear();
 
   dist::SetRdd all(view.schema, spec, partitioning);
-  std::vector<std::vector<Row>> delta(P);
+  std::vector<Relation> delta(P, Relation(view.schema));
 
   if (warm != nullptr) {
     // Absorb the converged state, co-partitioned on the run's key so it
@@ -702,9 +701,12 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   // Submitted as a pair so the async pipeline can start merging a
   // partition's slice while other seed tasks still run.
   {
-    std::vector<std::vector<Row>> splits(P);
-    for (size_t i = 0; i < base_rows.size(); ++i) {
-      splits[i % P].push_back(std::move(base_rows[i]));
+    std::vector<Relation> splits(P, Relation(view.schema));
+    for (size_t c = 0, i = 0; c < base_rows.num_chunks(); ++c) {
+      const storage::ColumnChunk& chunk = base_rows.chunk(c);
+      for (size_t r = 0; r < chunk.num_rows(); ++r, ++i) {
+        splits[i % P].AppendRowFrom(chunk, r);
+      }
     }
     ShuffleChannel seed_channel(P);
     StageSpec seed_stage;
@@ -723,14 +725,13 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
         [&](TaskContext& ctx) {
           const int p = ctx.partition();
           ShuffleWrite write(P);
-          for (Row& row : splits[p]) write.Add(std::move(row), partitioning);
+          write.AddAll(splits[p], partitioning);
           ctx.WriteShuffle(std::move(write));
         },
         merge_stage, [&](TaskContext& ctx) {
           const int p = ctx.partition();
-          std::vector<Row> rows = ctx.ReadShuffle();
-          rows = dist::PartialAggregate(std::move(rows), spec);
-          all.partition(p)->MergeDelta(rows, &delta[p]);
+          all.partition(p)->MergeDelta(
+              dist::PartialAggregate(ctx.ReadShuffle(), spec), &delta[p]);
         });
   }
   for (const auto& d : delta) stats->total_delta_rows += d.size();
@@ -745,14 +746,12 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     return true;
   };
 
-  auto eval_step_for_partition =
-      [&](int p, std::vector<Row>* out) -> Status {
-    Relation delta_rel(view.schema, std::move(delta[p]));
-    delta[p].clear();
+  // Takes partition p's delta and appends every branch's output over it
+  // to `*out`; delta[p] is left empty for the next merge.
+  auto eval_step_for_partition = [&](int p, Relation* out) -> Status {
+    const Relation delta_rel = std::exchange(delta[p], Relation(view.schema));
     for (StepEvaluator& step : steps) {
-      RASQL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                             step.Eval(delta_rel, p, base_binding));
-      for (Row& row : rows) out->push_back(std::move(row));
+      RASQL_RETURN_IF_ERROR(step.Eval(delta_rel, p, base_binding, out));
     }
     return Status::OK();
   };
@@ -794,14 +793,14 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
           break;
         }
         ++iterations;
-        std::vector<Row> candidates;
+        Relation candidates(view.schema);
         Status s = eval_step_for_partition(p, &candidates);
         if (!s.ok()) {
           ctx.Fail(std::move(s));
           break;
         }
-        candidates = dist::PartialAggregate(std::move(candidates), spec);
-        all.partition(p)->MergeDelta(candidates, &delta[p]);
+        all.partition(p)->MergeDelta(dist::PartialAggregate(candidates, spec),
+                                     &delta[p]);
         ctx.Count(delta[p].size());
       }
       task_iterations[p] = iterations;
@@ -840,13 +839,12 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
         ctx.ReportCachedState(all.partition(p)->byte_size() +
                               copart_state_bytes(p));
         ShuffleWrite write(P);
-        std::vector<Row> candidates;
+        Relation candidates(view.schema);
         Status s = eval_step_for_partition(p, &candidates);
         if (!s.ok()) {
           ctx.Fail(std::move(s));
         } else {
-          candidates = dist::PartialAggregate(std::move(candidates), spec);
-          for (Row& row : candidates) write.Add(std::move(row), partitioning);
+          write.AddAll(dist::PartialAggregate(candidates, spec), partitioning);
         }
         ctx.WriteShuffle(std::move(write));
       });
@@ -881,22 +879,18 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
         const int p = ctx.partition();
         ctx.ReportCachedState(all.partition(p)->byte_size() +
                               copart_state_bytes(p));
-        std::vector<Row> incoming = ctx.ReadShuffle();
-        incoming = dist::PartialAggregate(std::move(incoming), spec);
-        all.partition(p)->MergeDelta(incoming, &delta[p]);
+        all.partition(p)->MergeDelta(
+            dist::PartialAggregate(ctx.ReadShuffle(), spec), &delta[p]);
         ctx.Count(delta[p].size());
         ShuffleWrite write(P);
         if (!delta[p].empty()) {
-          std::vector<Row> candidates;
+          Relation candidates(view.schema);
           Status s = eval_step_for_partition(p, &candidates);
           if (!s.ok()) {
             ctx.Fail(std::move(s));
           } else {
-            candidates =
-                dist::PartialAggregate(std::move(candidates), spec);
-            for (Row& row : candidates) {
-              write.Add(std::move(row), partitioning);
-            }
+            write.AddAll(dist::PartialAggregate(candidates, spec),
+                         partitioning);
           }
         }
         ctx.WriteShuffle(std::move(write));
@@ -953,9 +947,8 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       const dist::StageTask reduce_task = [&](TaskContext& ctx) {
         const int p = ctx.partition();
         ctx.ReportCachedState(all.partition(p)->byte_size());
-        std::vector<Row> incoming = ctx.ReadShuffle();
-        incoming = dist::PartialAggregate(std::move(incoming), spec);
-        all.partition(p)->MergeDelta(incoming, &delta[p]);
+        all.partition(p)->MergeDelta(
+            dist::PartialAggregate(ctx.ReadShuffle(), spec), &delta[p]);
         ctx.Count(delta[p].size());
       };
 
@@ -969,16 +962,13 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
               const int p = ctx.partition();
               ctx.ReportCachedState(copart_state_bytes(p));
               ShuffleWrite write(P);
-              std::vector<Row> candidates;
+              Relation candidates(view.schema);
               Status s = eval_step_for_partition(p, &candidates);
               if (!s.ok()) {
                 ctx.Fail(std::move(s));
               } else {
-                candidates =
-                    dist::PartialAggregate(std::move(candidates), spec);
-                for (Row& row : candidates) {
-                  write.Add(std::move(row), partitioning);
-                }
+                write.AddAll(dist::PartialAggregate(candidates, spec),
+                             partitioning);
               }
               ctx.WriteShuffle(std::move(write));
             },
@@ -993,11 +983,10 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
         std::vector<Relation> frozen;
         frozen.reserve(P);
         for (int p = 0; p < P; ++p) {
-          frozen.emplace_back(view.schema, std::move(delta[p]));
-          delta[p].clear();
+          frozen.push_back(std::exchange(delta[p], Relation(view.schema)));
         }
         std::vector<std::vector<SubTask>> sub(P);
-        std::vector<std::vector<std::vector<Row>>> slots(P);
+        std::vector<std::vector<Relation>> slots(P);
         std::vector<std::vector<Status>> sub_status(P);
         for (int p = 0; p < P; ++p) {
           if (frozen[p].empty()) continue;
@@ -1012,7 +1001,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
               sub[p].push_back({s, {0, frozen[p].size()}});
             }
           }
-          slots[p].resize(sub[p].size());
+          slots[p].assign(sub[p].size(), Relation(view.schema));
           sub_status[p].resize(sub[p].size());
         }
         map_stage.split_tasks = [&sub](int p) {
@@ -1039,15 +1028,11 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
               const int j = ctx.split_index();
               const SubTask& t = sub[p][j];
               StepEvaluator& step = steps[t.step];
-              Result<std::vector<Row>> rows =
+              sub_status[p][j] =
                   step.DeltaSplittable()
-                      ? step.Eval(frozen[p], t.range, p, base_binding)
-                      : step.Eval(frozen[p], p, base_binding);
-              if (!rows.ok()) {
-                sub_status[p][j] = rows.status();
-              } else {
-                slots[p][j] = std::move(rows.value());
-              }
+                      ? step.Eval(frozen[p], t.range, p, base_binding,
+                                  &slots[p][j])
+                      : step.Eval(frozen[p], p, base_binding, &slots[p][j]);
             },
             // Finalize: the only reporting task of the partition.
             [&](TaskContext& ctx) {
@@ -1064,15 +1049,12 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
               if (!bad.ok()) {
                 ctx.Fail(std::move(bad));
               } else {
-                std::vector<Row> candidates;
-                for (std::vector<Row>& slot : slots[p]) {
-                  for (Row& row : slot) candidates.push_back(std::move(row));
+                Relation candidates(view.schema);
+                for (Relation& slot : slots[p]) {
+                  candidates.AppendChunks(std::move(slot));
                 }
-                candidates =
-                    dist::PartialAggregate(std::move(candidates), spec);
-                for (Row& row : candidates) {
-                  write.Add(std::move(row), partitioning);
-                }
+                write.AddAll(dist::PartialAggregate(candidates, spec),
+                             partitioning);
               }
               ctx.WriteShuffle(std::move(write));
             });

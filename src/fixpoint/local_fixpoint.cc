@@ -34,7 +34,6 @@ using plan::RecursiveRefNode;
 using runtime::StageStatus;
 using runtime::ThreadPool;
 using storage::Relation;
-using storage::Row;
 
 std::vector<const RecursiveRefNode*> CollectRecursiveRefs(
     const LogicalPlan& node) {
@@ -58,7 +57,7 @@ AggSpec SpecFor(const RecursiveView& view) {
 
 /// Canonical aggregated + sorted form for state comparison.
 Relation Canonicalize(const Relation& rel, const AggSpec& spec) {
-  Relation out(rel.schema(), dist::PartialAggregate(rel, spec));
+  Relation out = dist::PartialAggregate(rel, spec);
   out.SortRows();
   return out;
 }
@@ -94,7 +93,7 @@ struct MorselUnit {
   std::function<ExecContext()> make_context;
   std::optional<physical::BoundPipeline> pipeline;
   std::vector<storage::RowRange> morsels;
-  std::vector<std::vector<Row>> slots;
+  std::vector<Relation> slots;
 };
 
 /// Evaluates a batch of units on the pool in two flat phases (ParallelFor
@@ -143,7 +142,7 @@ Status RunMorselUnits(std::vector<MorselUnit>* units,
   // Phase B: flattened (unit, morsel) tasks.
   size_t total = 0;
   for (MorselUnit& unit : *units) {
-    unit.slots.resize(unit.morsels.size());
+    unit.slots.assign(unit.morsels.size(), Relation(unit.plan->schema()));
     total += unit.morsels.size();
   }
   std::vector<std::pair<int, int>> task_of;
@@ -169,7 +168,7 @@ Status RunMorselUnits(std::vector<MorselUnit>* units,
       failure.Fail(i, rel.status());
       return;
     }
-    unit.slots[m] = rel->TakeRows();
+    unit.slots[m] = std::move(*rel);
   });
   return failure.First();
 }
@@ -200,36 +199,32 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
   // the plans' output over the appended base rows — MergeDelta against the
   // absorbed state then keeps exactly the rows that are new or improving.
   const WarmStartInput* warm = options.warm_start;
-  std::vector<Row> base_rows;
+  Relation base(view.schema);
   if (warm == nullptr) {
-    // Aggregated straight from the branches' chunks, in the order the
-    // materialized rows would be visited (DESIGN.md §16).
-    Relation base(view.schema);
+    // Aggregated straight from the branches' chunks (DESIGN.md §16, §17).
     for (const plan::PlanPtr& p : view.base_plans) {
       RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*p, base_ctx));
       ++stats->plan_executions;
       base.AppendChunks(std::move(rel));
     }
-    base_rows = dist::PartialAggregate(base, spec);
   } else {
     {
       ShuffleWrite absorb(P);
-      warm->converged->ForEachRow(
-          [&](const Row& row) { absorb.Add(row, partitioning); });
+      absorb.AddAll(*warm->converged, partitioning);
       pool->ParallelFor(P, [&](int p) {
         state.partition(p)->Absorb(absorb.slice_per_dest[p]);
       });
     }
-    RASQL_ASSIGN_OR_RETURN(std::vector<Row> seed,
+    RASQL_ASSIGN_OR_RETURN(base,
                            EvaluateWarmSeed(view, *warm, base_ctx, stats));
     stats->warm_starts = 1;
-    base_rows = dist::PartialAggregate(std::move(seed), spec);
   }
 
-  std::vector<std::vector<Row>> delta(P);
+  std::vector<Relation> delta(P, Relation(view.schema));
   {
     ShuffleWrite scatter(P);
-    for (Row& row : base_rows) scatter.Add(std::move(row), partitioning);
+    scatter.AddAll(dist::PartialAggregate(base, spec), partitioning);
+    base.Clear();
     pool->ParallelFor(P, [&](int p) {
       state.partition(p)->MergeDelta(scatter.slice_per_dest[p], &delta[p]);
     });
@@ -288,8 +283,7 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
     // idempotent aggregates, which is what semi_naive_safe guarantees.
     std::vector<Relation> delta_rel(P);
     for (int p = 0; p < P; ++p) {
-      delta_rel[p] = Relation(view.schema, std::move(delta[p]));
-      delta[p] = std::vector<Row>();
+      delta_rel[p] = std::exchange(delta[p], Relation(view.schema));
     }
     Relation all_rel;
     if (needs_all) all_rel = state.Collect();
@@ -331,10 +325,8 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
     // at any morsel size.
     pool->ParallelFor(P, [&](int p) {
       for (size_t u = unit_begin[p]; u < unit_begin[p + 1]; ++u) {
-        for (std::vector<Row>& slot : units[u].slots) {
-          for (Row& row : slot) {
-            writes[p].Add(std::move(row), partitioning);
-          }
+        for (const Relation& slot : units[u].slots) {
+          writes[p].AddAll(slot, partitioning);
         }
       }
     });
@@ -344,9 +336,8 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
     // delta row counts and float accumulation order don't depend on how
     // work was split), and merges into its own state slice.
     pool->ParallelFor(P, [&](int p) {
-      std::vector<Row> candidates = GatherShuffle(writes, p);
-      candidates = dist::PartialAggregate(std::move(candidates), spec);
-      state.partition(p)->MergeDelta(candidates, &delta[p]);
+      state.partition(p)->MergeDelta(
+          dist::PartialAggregate(GatherShuffle(writes, p), spec), &delta[p]);
     });
     for (const auto& d : delta) stats->total_delta_rows += d.size();
   }
@@ -390,14 +381,14 @@ Result<std::map<std::string, Relation>> EvaluateNaive(
   const ExecContext base_ctx = BaseContext(tables, options);
 
   // Loop-invariant base case, evaluated once.
-  std::vector<std::vector<Row>> base_rows(clique.views.size());
+  std::vector<Relation> base_rows;
+  base_rows.reserve(clique.views.size());
   for (size_t vi = 0; vi < clique.views.size(); ++vi) {
+    base_rows.emplace_back(clique.views[vi].schema);
     for (const plan::PlanPtr& p : clique.views[vi].base_plans) {
       RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*p, base_ctx));
       ++stats->plan_executions;
-      for (Row& row : rel.TakeRows()) {
-        base_rows[vi].push_back(std::move(row));
-      }
+      base_rows[vi].AppendChunks(std::move(rel));
     }
   }
 
@@ -446,15 +437,14 @@ Result<std::map<std::string, Relation>> EvaluateNaive(
     // independent views in parallel.
     std::vector<Relation> next(clique.views.size());
     pool->ParallelFor(static_cast<int>(clique.views.size()), [&](int vi) {
-      std::vector<Row> candidates = base_rows[vi];
+      Relation candidates = base_rows[vi];
       for (size_t t = 0; t < tasks.size(); ++t) {
         if (tasks[t].view_index != static_cast<size_t>(vi)) continue;
-        for (std::vector<Row>& slot : units[t].slots) {
-          for (Row& row : slot) candidates.push_back(std::move(row));
+        for (Relation& slot : units[t].slots) {
+          candidates.AppendChunks(std::move(slot));
         }
       }
-      Relation rel(clique.views[vi].schema, candidates);
-      next[vi] = Canonicalize(rel, specs.at(clique.views[vi].name));
+      next[vi] = Canonicalize(candidates, specs.at(clique.views[vi].name));
     });
 
     bool changed = false;
@@ -536,19 +526,18 @@ Result<std::map<std::string, Relation>> EvaluateCliqueLocal(
     StageStatus failure(std::max(V, 1));
     pool.ParallelFor(V, [&](int vi) {
       const RecursiveView& view = clique.views[vi];
-      std::vector<Row> rows;
+      Relation rows(view.schema);
       for (const plan::PlanPtr& p : view.base_plans) {
         Result<Relation> rel = physical::Execute(*p, ctx);
         if (!rel.ok()) {
           failure.Fail(vi, rel.status());
           return;
         }
-        for (Row& row : rel->TakeRows()) rows.push_back(std::move(row));
+        rows.AppendChunks(std::move(*rel));
       }
-      Relation rel(view.schema, rows);
       // Multi-branch non-recursive views still union with set/aggregate
       // semantics per the head declaration.
-      results[vi] = Canonicalize(rel, SpecFor(view));
+      results[vi] = Canonicalize(rows, SpecFor(view));
     });
     RASQL_RETURN_IF_ERROR(failure.First());
     std::map<std::string, Relation> out;

@@ -9,7 +9,6 @@ using common::Result;
 using plan::LogicalPlan;
 using plan::PlanKind;
 using storage::Relation;
-using storage::Row;
 
 std::shared_ptr<const CliqueWarmState> WarmStateStore::Lookup(
     const std::string& key) {
@@ -93,11 +92,11 @@ bool WarmSeedCompatible(const RecursiveView& view,
   return true;
 }
 
-Result<std::vector<Row>> EvaluateWarmSeed(const RecursiveView& view,
-                                          const WarmStartInput& warm,
-                                          const physical::ExecContext& base_ctx,
-                                          FixpointStats* stats) {
-  std::vector<Row> seed;
+Result<Relation> EvaluateWarmSeed(const RecursiveView& view,
+                                  const WarmStartInput& warm,
+                                  const physical::ExecContext& base_ctx,
+                                  FixpointStats* stats) {
+  Relation seed(view.schema);
   const Relation* converged = warm.converged;
   auto seed_plan = [&](const LogicalPlan& p) -> common::Status {
     std::map<std::string, int> counts;
@@ -115,7 +114,7 @@ Result<std::vector<Row>> EvaluateWarmSeed(const RecursiveView& view,
       };
       RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(p, ctx));
       ++stats->plan_executions;
-      for (Row& row : rel.TakeRows()) seed.push_back(std::move(row));
+      seed.AppendChunks(std::move(rel));
     }
     return common::Status::OK();
   };

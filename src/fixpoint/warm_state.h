@@ -108,8 +108,9 @@ bool WarmSeedCompatible(const analysis::RecursiveView& view,
 /// contents, and every recursive reference bound to the converged state.
 /// The concatenation — plans in declaration order, changed tables in
 /// lexicographic order within a plan — is deterministic, so warm results
-/// stay bit-identical across thread counts like everything downstream.
-common::Result<std::vector<storage::Row>> EvaluateWarmSeed(
+/// stay bit-identical across thread counts like everything downstream. The
+/// plans' chunks are concatenated into one relation with the view's schema.
+common::Result<storage::Relation> EvaluateWarmSeed(
     const analysis::RecursiveView& view, const WarmStartInput& warm,
     const physical::ExecContext& base_ctx, FixpointStats* stats);
 

@@ -1,7 +1,5 @@
 #include "lint/gptest.h"
 
-#include <unordered_set>
-
 #include "analysis/analyzer.h"
 #include "dist/aggregates.h"
 #include "dist/set_rdd.h"
@@ -15,13 +13,12 @@ using common::Result;
 using common::Status;
 using dist::AggSpec;
 using storage::Relation;
-using storage::Row;
 
 namespace {
 
 /// One naive step T over the given state: evaluates all recursive plans
 /// with every reference bound to `state`.
-Result<std::vector<Row>> Step(
+Result<Relation> Step(
     const RecursiveView& view,
     const std::map<std::string, const Relation*>& tables,
     const Relation& state) {
@@ -31,10 +28,10 @@ Result<std::vector<Row>> Step(
       [&](const plan::RecursiveRefNode&) -> const Relation* {
     return &state;
   };
-  std::vector<Row> out;
+  Relation out(view.schema);
   for (const plan::PlanPtr& p : view.recursive_plans) {
     RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*p, ctx));
-    for (Row& row : rel.TakeRows()) out.push_back(std::move(row));
+    out.AppendChunks(std::move(rel));
   }
   return out;
 }
@@ -80,16 +77,16 @@ Result<PremCheckResult> ValidatePrem(
   // Base case feeds both fixpoints.
   physical::ExecContext base_ctx;
   base_ctx.tables = tables;
-  std::vector<Row> base_rows;
+  Relation base_rows(view->schema);
   for (const plan::PlanPtr& p : view->base_plans) {
     RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*p, base_ctx));
-    for (Row& row : rel.TakeRows()) base_rows.push_back(std::move(row));
+    base_rows.AppendChunks(std::move(rel));
   }
 
   // X: the aggregated fixpoint (the original query). Merge semantics via
   // the same state structure the engine uses.
   dist::SetRddPartition x_state(view->schema, spec);
-  std::vector<Row> x_delta;
+  Relation x_delta(view->schema);
   x_state.MergeDelta(dist::PartialAggregate(base_rows, spec), &x_delta);
 
   // Y: the unaggregated fixpoint (the Appendix-G `all` view): plain set
@@ -98,14 +95,13 @@ Result<PremCheckResult> ValidatePrem(
       view->schema,
       AggSpec::For(view->schema.num_columns(), -1,
                    expr::AggregateFunction::kNone));
-  std::vector<Row> y_delta;
+  Relation y_delta(view->schema);
   y_state.MergeDelta(base_rows, &y_delta);
 
   PremCheckResult result;
   while (true) {
     // Invariant under PreM: γ(Y_n) == X_n.
-    Relation gamma_y(view->schema,
-                     dist::PartialAggregate(y_state.ToRelation(), spec));
+    Relation gamma_y = dist::PartialAggregate(y_state.ToRelation(), spec);
     Relation x = x_state.ToRelation();
     if (!storage::SameBag(gamma_y, x)) {
       result.holds = false;
@@ -127,19 +123,18 @@ Result<PremCheckResult> ValidatePrem(
     // Advance X by one aggregated step.
     if (!x_delta.empty()) {
       Relation x_rel = x_state.ToRelation();
-      RASQL_ASSIGN_OR_RETURN(std::vector<Row> x_candidates,
+      RASQL_ASSIGN_OR_RETURN(Relation x_candidates,
                              Step(*view, tables, x_rel));
-      x_delta.clear();
-      x_state.MergeDelta(dist::PartialAggregate(std::move(x_candidates),
-                                                spec),
+      x_delta.Clear();
+      x_state.MergeDelta(dist::PartialAggregate(x_candidates, spec),
                          &x_delta);
     }
     // Advance Y by one unaggregated step.
     if (!y_delta.empty()) {
       Relation y_rel = y_state.ToRelation();
-      RASQL_ASSIGN_OR_RETURN(std::vector<Row> y_candidates,
+      RASQL_ASSIGN_OR_RETURN(Relation y_candidates,
                              Step(*view, tables, y_rel));
-      y_delta.clear();
+      y_delta.Clear();
       y_state.MergeDelta(y_candidates, &y_delta);
     }
   }

@@ -98,12 +98,17 @@ ProjectionEvaluator::ProjectionEvaluator(
 
 Row ProjectionEvaluator::Eval(const Row& input) const {
   Row out;
-  out.reserve(exprs_.size());
-  for (const Entry& entry : exprs_) {
-    out.push_back(entry.compiled ? entry.compiled->EvalValue(input)
-                                 : entry.expr->Eval(input));
-  }
+  EvalInto(input, &out);
   return out;
+}
+
+void ProjectionEvaluator::EvalInto(const Row& input, Row* out) const {
+  out->resize(exprs_.size());
+  for (size_t i = 0; i < exprs_.size(); ++i) {
+    const Entry& entry = exprs_[i];
+    (*out)[i] = entry.compiled ? entry.compiled->EvalValue(input)
+                               : entry.expr->Eval(input);
+  }
 }
 
 PredicateEvaluator::PredicateEvaluator(const expr::Expr& predicate,
@@ -784,9 +789,9 @@ Result<BorrowedRelation> Exec(const LogicalPlan& node, const ExecContext& ctx) {
         (!program->has_probe_steps() ||
          ctx.join_algorithm == JoinAlgorithm::kHash)) {
       RASQL_ASSIGN_OR_RETURN(BoundPipeline pipeline, program->Bind(ctx));
-      std::vector<Row> rows;
+      Relation rows(node.schema());
       RASQL_RETURN_IF_ERROR(pipeline.RunAll(&rows));
-      return Own(Relation(node.schema(), rows));
+      return Own(std::move(rows));
     }
   }
   switch (node.kind()) {

@@ -79,6 +79,9 @@ class ProjectionEvaluator {
                       bool use_codegen);
 
   storage::Row Eval(const storage::Row& input) const;
+  /// Eval into `*out` (resized to the projection width), reusing its cells'
+  /// storage across calls — the pipeline sinks' scratch row.
+  void EvalInto(const storage::Row& input, storage::Row* out) const;
 
  private:
   struct Entry {

@@ -117,76 +117,68 @@ Result<BoundPipeline> PipelineProgram::Bind(const ExecContext& ctx) const {
   return bound;
 }
 
-void BoundPipeline::PushRow(const Row& row, size_t step,
-                            std::vector<ProbeScratch>* scratch,
-                            std::vector<Row>* sink) const {
-  if (step == steps_.size()) {
-    sink->push_back(row);
-    return;
-  }
-  const BoundStep& bs = steps_[step];
-  switch (bs.kind) {
-    case PipelineProgram::Step::Kind::kFilter:
-      if (bs.predicate->Eval(row)) PushRow(row, step + 1, scratch, sink);
-      return;
-    case PipelineProgram::Step::Kind::kProject: {
-      Row projected = bs.projector->Eval(row);
-      if (step + 1 == steps_.size()) {
-        sink->push_back(std::move(projected));
-      } else {
-        PushRow(projected, step + 1, scratch, sink);
-      }
-      return;
-    }
-    case PipelineProgram::Step::Kind::kHashProbe: {
-      ProbeScratch& ps = (*scratch)[step];
-      ps.matches.clear();
-      bs.table->Probe(row, bs.probe_keys, &ps.matches);
-      if (ps.matches.empty()) return;
-      // Fill the left half once per input row, the right half per match.
-      // Deeper steps never retain a reference to the scratch row, so it is
-      // safe to reuse it across matches.
-      std::copy(row.begin(), row.end(), ps.combined.begin());
-      for (int m : ps.matches) {
-        bs.build.rel->CopyRowTo(static_cast<size_t>(m), &ps.combined,
-                                bs.left_width);
-        PushRow(ps.combined, step + 1, scratch, sink);
-      }
-      return;
-    }
-  }
-}
-
-Status BoundPipeline::Run(RowRange range, std::vector<Row>* sink) const {
-  if (batch_rows_ > 0) return RunBatch(range, sink);
-  const size_t end = std::min(range.end, driver_.rel->size());
-
-  std::vector<ProbeScratch> scratch(steps_.size());
+std::vector<BoundPipeline::StepScratch> BoundPipeline::NewScratch() const {
+  std::vector<StepScratch> scratch(steps_.size());
   for (size_t s = 0; s < steps_.size(); ++s) {
     if (steps_[s].kind == PipelineProgram::Step::Kind::kHashProbe) {
       scratch[s].combined.resize(steps_[s].left_width +
                                  steps_[s].right_width);
     }
   }
+  return scratch;
+}
+
+void BoundPipeline::PushRow(const Row& row, size_t step,
+                            std::vector<StepScratch>* scratch,
+                            Relation* sink) const {
+  if (step == steps_.size()) {
+    sink->AppendRow(row);
+    return;
+  }
+  const BoundStep& bs = steps_[step];
+  StepScratch& ss = (*scratch)[step];
+  switch (bs.kind) {
+    case PipelineProgram::Step::Kind::kFilter:
+      if (bs.predicate->Eval(row)) PushRow(row, step + 1, scratch, sink);
+      return;
+    case PipelineProgram::Step::Kind::kProject:
+      // Deeper steps never retain a reference to a scratch row, so each
+      // step reuses its own across driver rows and matches.
+      bs.projector->EvalInto(row, &ss.projected);
+      PushRow(ss.projected, step + 1, scratch, sink);
+      return;
+    case PipelineProgram::Step::Kind::kHashProbe: {
+      ss.matches.clear();
+      bs.table->Probe(row, bs.probe_keys, &ss.matches);
+      if (ss.matches.empty()) return;
+      // Fill the left half once per input row, the right half per match.
+      std::copy(row.begin(), row.end(), ss.combined.begin());
+      for (int m : ss.matches) {
+        bs.build.rel->CopyRowTo(static_cast<size_t>(m), &ss.combined,
+                                bs.left_width);
+        PushRow(ss.combined, step + 1, scratch, sink);
+      }
+      return;
+    }
+  }
+}
+
+Status BoundPipeline::Run(RowRange range, Relation* sink) const {
+  if (batch_rows_ > 0) return RunBatch(range, sink);
+  const size_t end = std::min(range.end, driver_.rel->size());
+  std::vector<StepScratch> scratch = NewScratch();
   driver_.rel->ForEachRow(
       RowRange{range.begin, end},
       [&](const Row& row) { PushRow(row, 0, &scratch, sink); });
   return Status::OK();
 }
 
-Status BoundPipeline::RunBatch(RowRange range, std::vector<Row>* sink) const {
+Status BoundPipeline::RunBatch(RowRange range, Relation* sink) const {
   const Relation& driver = *driver_.rel;
   const size_t end = std::min(range.end, driver.size());
   if (range.begin >= end) return Status::OK();
 
-  std::vector<ProbeScratch> scratch(steps_.size());
-  for (size_t s = 0; s < steps_.size(); ++s) {
-    if (steps_[s].kind == PipelineProgram::Step::Kind::kHashProbe) {
-      scratch[s].combined.resize(steps_[s].left_width +
-                                 steps_[s].right_width);
-    }
-  }
-
+  std::vector<StepScratch> scratch = NewScratch();
   Row row_scratch;
   std::vector<uint32_t> sel;
   sel.reserve(batch_rows_);
@@ -230,23 +222,21 @@ Status BoundPipeline::RunBatch(RowRange range, std::vector<Row>* sink) const {
         // Column-wise probe: hash the key cells straight out of the chunk;
         // materialize the combined row only for surviving matches.
         const BoundStep& bs = steps_[s];
-        ProbeScratch& ps = scratch[s];
+        StepScratch& ss = scratch[s];
         for (const uint32_t r : sel) {
-          ps.matches.clear();
-          bs.table->ProbeChunk(chunk, r, bs.probe_keys, &ps.matches);
-          if (ps.matches.empty()) continue;
-          chunk.CopyRowTo(r, &ps.combined, 0);
-          for (int m : ps.matches) {
-            bs.build.rel->CopyRowTo(static_cast<size_t>(m), &ps.combined,
+          ss.matches.clear();
+          bs.table->ProbeChunk(chunk, r, bs.probe_keys, &ss.matches);
+          if (ss.matches.empty()) continue;
+          chunk.CopyRowTo(r, &ss.combined, 0);
+          for (int m : ss.matches) {
+            bs.build.rel->CopyRowTo(static_cast<size_t>(m), &ss.combined,
                                     bs.left_width);
-            PushRow(ps.combined, s + 1, &scratch, sink);
+            PushRow(ss.combined, s + 1, &scratch, sink);
           }
         }
       } else if (s == steps_.size()) {
-        for (const uint32_t r : sel) {
-          chunk.MaterializeRow(r, &row_scratch);
-          sink->push_back(row_scratch);
-        }
+        // Every step was a filter: copy the survivors' cells column-wise.
+        for (const uint32_t r : sel) sink->AppendRowFrom(chunk, r);
       } else {
         for (const uint32_t r : sel) {
           chunk.MaterializeRow(r, &row_scratch);

@@ -89,14 +89,14 @@ class BoundPipeline {
   size_t driver_rows() const { return driver_.rel->size(); }
 
   /// Pushes driver rows [range.begin, min(range.end, driver_rows())) through
-  /// every step, appending produced rows to `*sink`. Output order is the
+  /// every step, appending produced rows to the `*sink` relation through
+  /// per-step scratch rows (no row vector is built). Output order is the
   /// driver order restricted to the range: concatenating the sinks of a
   /// morsel split in morsel order equals one whole-driver Run.
-  common::Status Run(storage::RowRange range,
-                     std::vector<storage::Row>* sink) const;
+  common::Status Run(storage::RowRange range, storage::Relation* sink) const;
 
   /// Whole-driver evaluation.
-  common::Status RunAll(std::vector<storage::Row>* sink) const {
+  common::Status RunAll(storage::Relation* sink) const {
     return Run(storage::RowRange{0, driver_rows()}, sink);
   }
 
@@ -119,17 +119,20 @@ class BoundPipeline {
     size_t right_width = 0;
   };
   /// Per-Run scratch, allocated on the caller's stack (thread safety).
-  struct ProbeScratch {
-    storage::Row combined;
+  struct StepScratch {
+    storage::Row combined;   ///< kHashProbe: left cells + one build row
     std::vector<int> matches;
+    storage::Row projected;  ///< kProject output
   };
 
+  std::vector<StepScratch> NewScratch() const;
+
   void PushRow(const storage::Row& row, size_t step,
-               std::vector<ProbeScratch>* scratch,
-               std::vector<storage::Row>* sink) const;
+               std::vector<StepScratch>* scratch,
+               storage::Relation* sink) const;
 
   common::Status RunBatch(storage::RowRange range,
-                          std::vector<storage::Row>* sink) const;
+                          storage::Relation* sink) const;
 
   BorrowedRelation driver_;
   std::vector<BoundStep> steps_;

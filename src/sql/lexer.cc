@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <unordered_set>
 
@@ -126,7 +127,16 @@ Result<std::vector<Token>> Lex(const std::string& input) {
         t.double_value = std::strtod(num.c_str(), nullptr);
       } else {
         t.type = TokenType::kIntLiteral;
+        // strtoll saturates out-of-range digits at INT64_MAX; reject them
+        // instead of silently clamping (INT64_MIN is spelled
+        // `-9223372036854775807 - 1`).
+        errno = 0;
         t.int_value = std::strtoll(num.c_str(), nullptr, 10);
+        if (errno == ERANGE) {
+          return LexError(line, col,
+                          "integer literal " + num +
+                              " is out of range for a 64-bit integer");
+        }
       }
       tokens.push_back(std::move(t));
       advance(j - i);

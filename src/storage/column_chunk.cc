@@ -1,7 +1,5 @@
 #include "storage/column_chunk.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace rasql::storage {
@@ -27,6 +25,51 @@ void ColumnChunk::AppendRow(const Row& row) {
     AppendCell(&columns_[c], row[c]);
   }
   ++num_rows_;
+}
+
+void ColumnChunk::AppendInt64(size_t col, int64_t v) {
+  ColumnData& c = columns_[col];
+  if (!c.variant && c.tag == ValueType::kInt64 && c.nulls.empty()) {
+    c.i64.push_back(v);
+    return;
+  }
+  AppendCell(&c, Value::Int(v));
+}
+
+void ColumnChunk::AppendDouble(size_t col, double v) {
+  ColumnData& c = columns_[col];
+  if (!c.variant && c.tag == ValueType::kDouble && c.nulls.empty()) {
+    c.f64.push_back(v);
+    return;
+  }
+  AppendCell(&c, Value::Double(v));
+}
+
+void ColumnChunk::AppendCellFrom(size_t col, const ColumnChunk& src,
+                                 size_t src_row, size_t src_col) {
+  const ColumnData& s = src.columns_[src_col];
+  if (!s.variant && !s.IsNull(src_row)) {
+    switch (s.tag) {
+      case ValueType::kInt64:
+        AppendInt64(col, s.i64[src_row]);
+        return;
+      case ValueType::kDouble:
+        AppendDouble(col, s.f64[src_row]);
+        return;
+      case ValueType::kString: {
+        ColumnData& c = columns_[col];
+        if (!c.variant && c.tag == ValueType::kString && c.nulls.empty()) {
+          c.codes.push_back(DictCode(&c, s.dict[s.codes[src_row]],
+                                     &dict_index_[col]));
+          return;
+        }
+        break;
+      }
+      case ValueType::kNull:
+        break;
+    }
+  }
+  AppendCell(&columns_[col], src.ValueAt(src_row, src_col));
 }
 
 void ColumnChunk::MigrateToBoxed(ColumnData* col) {
@@ -167,30 +210,35 @@ void ColumnChunk::CopyRowTo(size_t row, Row* dest, size_t offset) const {
 
 uint64_t ColumnChunk::HashCell(size_t row, size_t col) const {
   const ColumnData& c = columns_[col];
-  if (c.IsNull(row)) return 0x9ae16a3b2f90404fULL;  // Value::Hash() of NULL
+  if (c.IsNull(row)) return kNullHash;
   if (c.variant) return c.boxed[row].Hash();
   switch (c.tag) {
     case ValueType::kInt64:
       return common::MixHash64(static_cast<uint64_t>(c.i64[row]));
-    case ValueType::kDouble: {
-      // Mirror Value::Hash(): integral doubles hash like the equal int64.
-      const double v = c.f64[row];
-      double intpart;
-      if (std::modf(v, &intpart) == 0.0 && intpart >= -9.2233720368547758e18 &&
-          intpart <= 9.2233720368547758e18) {
-        return common::MixHash64(
-            static_cast<uint64_t>(static_cast<int64_t>(intpart)));
-      }
-      uint64_t bits;
-      __builtin_memcpy(&bits, &v, sizeof(bits));
-      return common::MixHash64(bits);
-    }
+    case ValueType::kDouble:
+      return HashDouble(c.f64[row]);
     case ValueType::kString:
       return common::HashBytes(c.dict[c.codes[row]]);
     case ValueType::kNull:
-      return 0x9ae16a3b2f90404fULL;
+      return kNullHash;
   }
   return 0;
+}
+
+size_t ColumnChunk::RowByteSize(size_t row) const {
+  size_t n = 0;
+  for (const ColumnData& c : columns_) {
+    if (c.IsNull(row)) {
+      n += 8;
+    } else if (c.variant) {
+      n += c.boxed[row].ByteSize();
+    } else if (c.tag == ValueType::kString) {
+      n += 8 + c.dict[c.codes[row]].size();
+    } else {
+      n += 8;
+    }
+  }
+  return n;
 }
 
 bool ColumnChunk::CellEquals(size_t row, size_t col, const Value& v) const {

@@ -71,6 +71,20 @@ class ColumnChunk {
   /// Appends one row; `row.size()` must equal `num_columns()`.
   void AppendRow(const Row& row);
 
+  /// Cell-wise row append without a Row temporary: append exactly one cell
+  /// to every column, in column order, then call FinishRow(). Each call
+  /// stores the cell exactly as AppendRow would store the equal Value.
+  void AppendValue(size_t col, const Value& v) {
+    AppendCell(&columns_[col], v);
+  }
+  void AppendInt64(size_t col, int64_t v);
+  void AppendDouble(size_t col, double v);
+  /// Appends cell (`src_row`, `src_col`) of `src`, copied from its typed
+  /// arrays (dictionary strings are re-interned by value).
+  void AppendCellFrom(size_t col, const ColumnChunk& src, size_t src_row,
+                      size_t src_col);
+  void FinishRow() { ++num_rows_; }
+
   bool IsNull(size_t row, size_t col) const {
     return columns_[col].IsNull(row);
   }
@@ -97,6 +111,20 @@ class ColumnChunk {
     for (int c : key_cols) h = common::HashCombine(h, HashCell(row, c));
     return h;
   }
+
+  /// HashKey over every column — identical to HashRow on the materialized
+  /// row.
+  uint64_t HashWholeRow(size_t row) const {
+    uint64_t h = 0x84222325cbf29ce4ULL;
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      h = common::HashCombine(h, HashCell(row, c));
+    }
+    return h;
+  }
+
+  /// RowByteSize of the materialized row — the shuffle cost model's
+  /// row-encoding estimate.
+  size_t RowByteSize(size_t row) const;
 
   /// Equality of one cell against a Value, consistent with
   /// `ValueAt(row, col) == v`.

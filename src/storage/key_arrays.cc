@@ -25,6 +25,19 @@ Value KeyArrays::Column::ValueAt(size_t row) const {
   return Value::Null();
 }
 
+void KeyArrays::Column::Set(size_t row, const Value& v) {
+  if (kind == Kind::kInt64 && v.type() == ValueType::kInt64) {
+    i64[row] = v.AsInt();
+    return;
+  }
+  if (kind == Kind::kDouble && v.type() == ValueType::kDouble) {
+    f64[row] = v.AsDouble();
+    return;
+  }
+  if (kind != Kind::kBoxed) MigrateToBoxed();
+  boxed[row] = v;
+}
+
 void KeyArrays::Column::MigrateToBoxed() {
   std::vector<Value> values;
   values.reserve(std::max(i64.size(), f64.size()) + 1);
@@ -180,21 +193,32 @@ void KeyArrays::Column::Reserve(size_t n) {
   }
 }
 
-void KeyArrays::AppendRow(const Row& row) {
-  RASQL_CHECK(row.size() <= columns_.size());
-  if (row.size() != columns_.size() && widths_.empty()) {
+void KeyArrays::AppendRowFrom(const ColumnChunk& chunk, size_t row) {
+  const size_t w = chunk.num_columns();
+  RASQL_CHECK(w <= columns_.size());
+  if (w != columns_.size() && widths_.empty()) {
     widths_.assign(num_rows_, static_cast<uint32_t>(columns_.size()));
   }
-  if (!widths_.empty()) widths_.push_back(static_cast<uint32_t>(row.size()));
+  if (!widths_.empty()) widths_.push_back(static_cast<uint32_t>(w));
   for (size_t c = 0; c < columns_.size(); ++c) {
     Column& col = columns_[c];
-    if (c >= row.size()) {
+    if (c >= w) {
       col.AppendAbsent();
       continue;
     }
-    const bool undecided = col.kind == Column::Kind::kEmpty;
-    col.Append(row[c], num_rows_);
-    if (undecided) col.Reserve(reserve_);
+    const ColumnChunk::ColumnData& data = chunk.column(c);
+    if (!data.variant && !data.IsNull(row)) {
+      if (data.tag == ValueType::kInt64 && col.kind == Column::Kind::kInt64) {
+        col.i64.push_back(data.i64[row]);
+        continue;
+      }
+      if (data.tag == ValueType::kDouble &&
+          col.kind == Column::Kind::kDouble) {
+        col.f64.push_back(data.f64[row]);
+        continue;
+      }
+    }
+    col.Append(chunk.ValueAt(row, c), num_rows_);
   }
   ++num_rows_;
 }
@@ -324,11 +348,30 @@ void KeyArrays::MaterializeRow(size_t row, Row* out) const {
 }
 
 void KeyArrays::AppendTo(Relation* out) const {
-  Row scratch;
-  for (size_t r = 0; r < num_rows_; ++r) {
-    MaterializeRow(r, &scratch);
-    out->AppendRow(scratch);
-  }
+  for (size_t r = 0; r < num_rows_; ++r) AppendRowTo(r, out);
+}
+
+void KeyArrays::AppendRowTo(size_t row, Relation* out) const {
+  const size_t w = width(row);
+  out->AppendRowWith(w, [&](ColumnChunk* chunk) {
+    for (size_t c = 0; c < w; ++c) {
+      const Column& col = columns_[c];
+      switch (col.kind) {
+        case Column::Kind::kInt64:
+          chunk->AppendInt64(c, col.i64[row]);
+          break;
+        case Column::Kind::kDouble:
+          chunk->AppendDouble(c, col.f64[row]);
+          break;
+        case Column::Kind::kBoxed:
+          chunk->AppendValue(c, col.boxed[row]);
+          break;
+        case Column::Kind::kEmpty:
+          chunk->AppendValue(c, Value::Null());
+          break;
+      }
+    }
+  });
 }
 
 namespace {
@@ -373,10 +416,8 @@ Relation MergeSortedRuns(const Schema& schema,
                          const std::vector<KeyArrays>& runs) {
   Relation out(schema);
   std::vector<size_t> pos(runs.size(), 0);
-  Row scratch;
   auto emit = [&](size_t run, size_t row) {
-    runs[run].MaterializeRow(row, &scratch);
-    out.AppendRow(scratch);
+    runs[run].AppendRowTo(row, &out);
   };
 
   // Equal heads pop in run order, so the merge is a stable sort of the

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "storage/column_chunk.h"
 #include "storage/row.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -31,14 +32,12 @@ class KeyArrays {
 
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
-  /// Capacity hint for AppendRow; applied as each column's storage is
-  /// decided by its first cell.
-  void Reserve(size_t n) { reserve_ = n; }
 
-  /// Appends one row (at most `num_columns()` cells). A cell whose type
-  /// disagrees with its column's typed array migrates that column to
-  /// boxed Values, preserving every earlier cell exactly.
-  void AppendRow(const Row& row);
+  /// Appends row `row` of `chunk` (at most `num_columns()` cells), copying
+  /// typed cells without boxing. A cell whose type disagrees with its
+  /// column's typed array migrates that column to boxed Values, preserving
+  /// every earlier cell exactly.
+  void AppendRowFrom(const ColumnChunk& chunk, size_t row);
 
   /// Canonical three-way comparison of rows `a` and `b` of this bag.
   int Compare(size_t a, size_t b) const {
@@ -58,8 +57,12 @@ class KeyArrays {
 
   /// Appends rows [0, num_rows()) in order to `*out`.
   void AppendTo(Relation* out) const;
+  /// Appends row `row` to `*out` straight from the typed arrays; stores
+  /// exactly what `out->AppendRow` of the materialized row stores.
+  void AppendRowTo(size_t row, Relation* out) const;
 
  private:
+  friend class GroupTable;
   friend Relation MergeSortedRuns(const Schema& schema,
                                   const std::vector<KeyArrays>& runs);
 
@@ -78,6 +81,9 @@ class KeyArrays {
     std::vector<Value> boxed;
 
     Value ValueAt(size_t row) const;
+    /// Overwrites an existing cell, migrating to boxed Values when `v`
+    /// does not fit the typed array.
+    void Set(size_t row, const Value& v);
     /// Appends `v` as row `rows_before`, migrating the column to boxed
     /// Values on a type change. The first present cell decides the
     /// storage and backfills placeholders for the narrower rows before it.
@@ -95,7 +101,6 @@ class KeyArrays {
   /// Per-row widths; empty while every row spans all columns.
   std::vector<uint32_t> widths_;
   size_t num_rows_ = 0;
-  size_t reserve_ = 0;
 };
 
 /// K-way merges bags that are each sorted (KeyArrays::Sort) into one

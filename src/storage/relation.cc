@@ -14,29 +14,34 @@ std::string RowToString(const Row& row) {
   return out;
 }
 
-void Relation::AppendRow(const Row& row) {
+ColumnChunk* Relation::OpenTail(size_t width) {
   if (chunks_.empty() || chunks_.back().full() ||
-      chunks_.back().num_columns() != row.size()) {
+      chunks_.back().num_columns() != width) {
     // A width change seals a short chunk and breaks the uniform O(1)
     // row-location invariant; row location falls back to binary search.
     if (!chunks_.empty() && !chunks_.back().full()) uniform_ = false;
     chunk_begins_.push_back(num_rows_);
-    chunks_.emplace_back(row.size());
+    chunks_.emplace_back(width);
   }
-  chunks_.back().AppendRow(row);
+  return &chunks_.back();
+}
+
+void Relation::AppendRow(const Row& row) {
+  OpenTail(row.size())->AppendRow(row);
   ++num_rows_;
+}
+
+void Relation::AppendRowFrom(const ColumnChunk& chunk, size_t row) {
+  const size_t width = chunk.num_columns();
+  AppendRowWith(width, [&](ColumnChunk* tail) {
+    for (size_t c = 0; c < width; ++c) tail->AppendCellFrom(c, chunk, row, c);
+  });
 }
 
 std::vector<Row> Relation::MaterializeRows() const {
   std::vector<Row> rows;
   rows.reserve(num_rows_);
   ForEachRow([&rows](const Row& row) { rows.push_back(row); });
-  return rows;
-}
-
-std::vector<Row> Relation::TakeRows() {
-  std::vector<Row> rows = MaterializeRows();
-  Clear();
   return rows;
 }
 
@@ -57,11 +62,9 @@ void Relation::Dedup() {
   KeyArrays keys = KeyArrays::FromRelation(*this);
   keys.Sort();
   Clear();
-  Row row;
   for (size_t r = 0; r < keys.num_rows(); ++r) {
     if (r > 0 && keys.Compare(r - 1, r) == 0) continue;
-    keys.MaterializeRow(r, &row);
-    AppendRow(row);
+    keys.AppendRowTo(r, this);
   }
 }
 

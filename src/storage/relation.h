@@ -69,6 +69,21 @@ class Relation {
   /// Appends one row, cell by cell, to the open tail chunk. Rows of a new
   /// width seal the current chunk and open a fresh one.
   void AppendRow(const Row& row);
+
+  /// Appends row `row` of `chunk` (any relation's), copying cells straight
+  /// from its typed arrays — no Row is materialized.
+  void AppendRowFrom(const ColumnChunk& chunk, size_t row);
+
+  /// Appends one row of `width` cells that `fill(ColumnChunk*)` writes
+  /// with the chunk's cell-wise appenders (one cell per column, in column
+  /// order). Stores exactly what AppendRow stores for the equal Row.
+  template <class Fill>
+  void AppendRowWith(size_t width, Fill&& fill) {
+    ColumnChunk* tail = OpenTail(width);
+    fill(tail);
+    tail->FinishRow();
+    ++num_rows_;
+  }
   /// Historical alias of AppendRow.
   void Add(const Row& row) { AppendRow(row); }
 
@@ -149,9 +164,6 @@ class Relation {
   /// Materializes every row — for sort/canonicalization paths and tests.
   std::vector<Row> MaterializeRows() const;
 
-  /// Materializes every row and clears the relation; the columnar
-  /// replacement for the old `std::move(rel.mutable_rows())` idiom.
-  std::vector<Row> TakeRows();
 
   /// Chunk views ---------------------------------------------------------
 
@@ -197,6 +209,9 @@ class Relation {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
+  /// The chunk the next row of `width` cells goes to.
+  ColumnChunk* OpenTail(size_t width);
+
   void LocateRow(size_t i, size_t* c, size_t* r) const {
     if (uniform_) {
       *c = i / kChunkRows;

@@ -1,6 +1,5 @@
 #include "storage/value.h"
 
-#include <cmath>
 #include <cstdio>
 
 namespace rasql::storage {
@@ -69,24 +68,11 @@ int CanonicalCompare(const Value& a, const Value& b) {
 uint64_t Value::Hash() const {
   switch (type_) {
     case ValueType::kNull:
-      return 0x9ae16a3b2f90404fULL;
+      return kNullHash;
     case ValueType::kInt64:
       return common::MixHash64(static_cast<uint64_t>(i64_));
-    case ValueType::kDouble: {
-      // Hash integral doubles like the equal int64 so mixed numeric keys
-      // that compare equal also hash equal.
-      double intpart;
-      if (std::modf(f64_, &intpart) == 0.0 &&
-          intpart >= -9.2233720368547758e18 &&
-          intpart <= 9.2233720368547758e18) {
-        return common::MixHash64(static_cast<uint64_t>(
-            static_cast<int64_t>(intpart)));
-      }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(f64_));
-      __builtin_memcpy(&bits, &f64_, sizeof(bits));
-      return common::MixHash64(bits);
-    }
+    case ValueType::kDouble:
+      return HashDouble(f64_);
     case ValueType::kString:
       return common::HashBytes(str_);
   }

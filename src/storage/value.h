@@ -1,6 +1,7 @@
 #ifndef RASQL_STORAGE_VALUE_H_
 #define RASQL_STORAGE_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -93,6 +94,28 @@ class Value {
   };
   std::string str_;
 };
+
+/// Hash of a double, consistent with Value::Compare on integers: a double
+/// holding an integer in int64 range hashes like that int64, so 1.0 and 1
+/// meet in one hash bucket. Everything else — fractions, ±inf, NaN and
+/// magnitudes at or beyond 2^63 — hashes its bit pattern. The upper bound
+/// is strict because 2^63 itself is not an int64; -2^63 is INT64_MIN. Value,
+/// ColumnChunk and GroupTable hash doubles through this one helper.
+inline uint64_t HashDouble(double v) {
+  double intpart;
+  if (std::modf(v, &intpart) == 0.0 && intpart >= -9223372036854775808.0 &&
+      intpart < 9223372036854775808.0) {
+    return common::MixHash64(
+        static_cast<uint64_t>(static_cast<int64_t>(intpart)));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(v));
+  __builtin_memcpy(&bits, &v, sizeof(bits));
+  return common::MixHash64(bits);
+}
+
+/// Value::Hash() of NULL.
+inline constexpr uint64_t kNullHash = 0x9ae16a3b2f90404fULL;
 
 /// The canonical three-way order on doubles: numeric order with -0.0 ==
 /// 0.0, and NaN after every number and equal to every NaN. Unlike the raw

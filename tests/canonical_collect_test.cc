@@ -286,9 +286,10 @@ dist::SetRdd BuildRdd(AggregateFunction function, int num_partitions,
       candidates[partitioning.PartitionOf(row)].push_back(std::move(row));
     }
     for (int p = 0; p < num_partitions; ++p) {
-      std::vector<Row> delta;
+      Relation delta(schema);
       rdd.partition(p)->MergeDelta(
-          dist::PartialAggregate(std::move(candidates[p]), spec), &delta);
+          dist::PartialAggregate(Relation(schema, candidates[p]), spec),
+          &delta);
     }
   }
   return rdd;
@@ -341,14 +342,17 @@ TEST(CanonicalCollectTest, MergeKeepsRunOrderOnTies) {
   // payloads, int64 vs double) tie across runs: they come out in run
   // order, as a stable sort of the runs' concatenation would place them.
   const Schema schema = Schema::Of({{"X", ValueType::kDouble}});
+  const Relation cells[2] = {
+      Relation(schema, {{Value::Double(-0.0)},
+                        {Value::Double(kNaN)},
+                        {Value::Int(3)}}),
+      Relation(schema, {{Value::Double(0.0)},
+                        {Value::Double(-kNaN)},
+                        {Value::Double(3.0)}})};
   std::vector<KeyArrays> runs(2, KeyArrays(1));
-  for (const Value& v : {Value::Double(-0.0), Value::Double(kNaN),
-                         Value::Int(3)}) {
-    runs[0].AppendRow({v});
-  }
-  for (const Value& v : {Value::Double(0.0), Value::Double(-kNaN),
-                         Value::Double(3.0)}) {
-    runs[1].AppendRow({v});
+  for (size_t r = 0; r < 3; ++r) {
+    runs[0].AppendRowFrom(cells[0].chunk(0), r);
+    runs[1].AppendRowFrom(cells[1].chunk(0), r);
   }
   for (KeyArrays& run : runs) run.Sort();
   ExpectSameRowsExactly(
@@ -392,6 +396,8 @@ TEST(ParallelPartitionTest, EqualsSerialPlacementInContentsAndOrder) {
 
 TEST(BaseCaseAggregateTest, RelationOverloadEqualsRowOverload) {
   // Two base branches, as a multi-branch view's base case yields them.
+  // Aggregating their concatenated chunks equals aggregating the same rows
+  // appended one by one into a single relation.
   const Relation branch_a = RandomRelation({0, 3, 1}, 2 * 1024 + 5, 61);
   const Relation branch_b = RandomRelation({0, 3, 1}, 700, 62);
   for (AggregateFunction function :
@@ -403,13 +409,16 @@ TEST(BaseCaseAggregateTest, RelationOverloadEqualsRowOverload) {
 
     std::vector<Row> rows = branch_a.MaterializeRows();
     for (Row& row : branch_b.MaterializeRows()) rows.push_back(row);
-    const std::vector<Row> want = dist::PartialAggregate(std::move(rows), spec);
+    const std::vector<Row> want =
+        dist::PartialAggregate(Relation(branch_a.schema(), rows), spec)
+            .MaterializeRows();
 
     Relation base(branch_a.schema());
     base.AppendChunks(Relation(branch_a));
     base.AppendChunks(Relation(branch_b));
     ASSERT_EQ(base.size(), branch_a.size() + branch_b.size());
-    ExpectSameRowsExactly(dist::PartialAggregate(base, spec), want);
+    ExpectSameRowsExactly(dist::PartialAggregate(base, spec).MaterializeRows(),
+                          want);
   }
 }
 

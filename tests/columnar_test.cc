@@ -331,16 +331,17 @@ TEST(BatchPipelineTest, MorselRangesStraddlingChunksConcatenate) {
   ctx.batch_rows = 100;
   auto bound = program->Bind(ctx);
   ASSERT_TRUE(bound.ok()) << bound.status();
-  std::vector<Row> whole;
-  ASSERT_TRUE(bound->RunAll(&whole).ok());
+  Relation whole_rel;
+  ASSERT_TRUE(bound->RunAll(&whole_rel).ok());
+  const std::vector<Row> whole = whole_rel.MaterializeRows();
   // Morsel cuts not aligned to chunk or batch boundaries.
   std::vector<Row> merged;
   const size_t n = bound->driver_rows();
   for (size_t begin = 0; begin < n; begin += 333) {
-    std::vector<Row> part;
+    Relation part;
     ASSERT_TRUE(
         bound->Run(storage::RowRange{begin, begin + 333}, &part).ok());
-    for (Row& row : part) merged.push_back(std::move(row));
+    for (Row& row : part.MaterializeRows()) merged.push_back(std::move(row));
   }
   ASSERT_EQ(merged.size(), whole.size());
   for (size_t i = 0; i < whole.size(); ++i) {

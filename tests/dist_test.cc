@@ -21,6 +21,21 @@ using storage::Schema;
 using storage::Value;
 using storage::ValueType;
 
+/// The relation holding `rows` in order — the unit the columnar shuffle,
+/// aggregation and SetRDD APIs take.
+Relation Rel(const std::vector<Row>& rows) {
+  Relation rel;
+  for (const Row& row : rows) rel.AppendRow(row);
+  return rel;
+}
+
+/// The first column of every row of `rel`, in order.
+std::vector<int64_t> FirstColumn(const Relation& rel) {
+  std::vector<int64_t> out;
+  rel.ForEachRow([&](const Row& row) { out.push_back(row[0].AsInt()); });
+  return out;
+}
+
 TEST(PartitionTest, RowsLandInOwnPartition) {
   Relation r = MakeIntRelation({"K", "V"},
                                {{1, 10}, {2, 20}, {3, 30}, {1, 11}, {2, 21}});
@@ -50,8 +65,12 @@ TEST(PartitionTest, CollectRoundTrips) {
 TEST(ShuffleWriteTest, RoutesByPartitioning) {
   Partitioning spec{{0}, 4};
   ShuffleWrite w(4);
-  for (int64_t k = 0; k < 100; ++k) {
-    w.Add({Value::Int(k), Value::Int(k * 2)}, spec);
+  std::vector<std::vector<int64_t>> rows;
+  for (int64_t k = 0; k < 100; ++k) rows.push_back({k, k * 2});
+  const Relation input = MakeIntRelation({"K", "V"}, rows);
+  for (size_t i = 0; i < input.size(); ++i) {
+    const storage::RowAccessor row = input.row(i);
+    w.Add(row.chunk(), row.chunk_row(), spec);
   }
   size_t total_rows = 0;
   size_t total_bytes = 0;
@@ -70,7 +89,7 @@ TEST(ShuffleWriteTest, GatherCollectsFromAllWriters) {
   Partitioning spec{{0}, 2};
   std::vector<ShuffleWrite> writes(3, ShuffleWrite(2));
   for (int src = 0; src < 3; ++src) {
-    writes[src].Add({Value::Int(src)}, spec);
+    writes[src].AddAll(MakeIntRelation({"K"}, {{src}}), spec);
   }
   size_t total = GatherShuffle(writes, 0).size() +
                  GatherShuffle(writes, 1).size();
@@ -249,16 +268,16 @@ TEST(ShuffleChannelTest, GatherSeesOnlyPublishedSlices) {
   ShuffleChannel channel(3);
   for (int src = 0; src < 3; ++src) {
     ShuffleWrite write(2);
-    write.Add({Value::Int(src * 2)}, spec);      // even -> partition of 0
-    write.Add({Value::Int(src * 2 + 1)}, spec);  // odd
+    // Keys 2*src and 2*src + 1, routed by hash.
+    write.AddAll(MakeIntRelation({"K"}, {{src * 2}, {src * 2 + 1}}), spec);
     channel.Put(src, std::move(write));
   }
   channel.Publish(0);
   channel.Publish(2);
 
   std::set<int64_t> seen;
-  for (const Row& row : channel.Gather(0)) seen.insert(row[0].AsInt());
-  for (const Row& row : channel.Gather(1)) seen.insert(row[0].AsInt());
+  for (int64_t k : FirstColumn(channel.Gather(0))) seen.insert(k);
+  for (int64_t k : FirstColumn(channel.Gather(1))) seen.insert(k);
   EXPECT_TRUE(channel.readiness().Consumed(0));
   EXPECT_TRUE(channel.readiness().Consumed(1));
   // Producer 1's rows {2, 3} stay invisible.
@@ -302,15 +321,14 @@ TEST(ShuffleChannelTest, RowsRouteThroughChannel) {
           // Task p emits the keys p*10 .. p*10+9.
           ShuffleWrite write(4);
           for (int64_t k = 0; k < 10; ++k) {
-            write.Add({Value::Int(ctx.partition() * 10 + k)}, spec);
+            write.AddAll(MakeIntRelation({"K"}, {{ctx.partition() * 10 + k}}),
+                         spec);
           }
           ctx.WriteShuffle(std::move(write));
         },
         reduce_spec,
         [&](TaskContext& ctx) {
-          for (const Row& row : ctx.ReadShuffle()) {
-            received[ctx.partition()].push_back(row[0].AsInt());
-          }
+          received[ctx.partition()] = FirstColumn(ctx.ReadShuffle());
         });
 
     size_t total = 0;
@@ -353,7 +371,8 @@ TEST(ClusterTest, PipelinedPairMetricsMatchBarriered) {
             ctx.ReportCachedState(100 * (ctx.partition() + 1));
             ShuffleWrite write(6);
             for (int64_t k = 0; k < 6; ++k) {
-              write.Add({Value::Int(ctx.partition() * 6 + k)}, spec);
+              write.AddAll(
+                  MakeIntRelation({"K"}, {{ctx.partition() * 6 + k}}), spec);
             }
             ctx.WriteShuffle(std::move(write));
           },
@@ -451,31 +470,28 @@ TEST(AggregatesTest, ImprovesOnlyStrictly) {
 
 TEST(AggregatesTest, PartialAggregateGroups) {
   AggSpec spec = AggSpec::For(2, 1, AggregateFunction::kMin);
-  std::vector<Row> rows = {{Value::Int(1), Value::Int(9)},
-                           {Value::Int(1), Value::Int(4)},
-                           {Value::Int(2), Value::Int(7)}};
-  std::vector<Row> out = PartialAggregate(rows, spec);
+  const Relation rows = MakeIntRelation({"K", "V"}, {{1, 9}, {1, 4}, {2, 7}});
+  const Relation out = PartialAggregate(rows, spec);
   ASSERT_EQ(out.size(), 2u);
-  std::set<std::pair<int64_t, int64_t>> got;
-  for (const Row& r : out) got.insert({r[0].AsInt(), r[1].AsInt()});
-  EXPECT_TRUE(got.count({1, 4}));
-  EXPECT_TRUE(got.count({2, 7}));
+  // Groups come out in first-seen order.
+  EXPECT_EQ(out.GetRow(0), (Row{Value::Int(1), Value::Int(4)}));
+  EXPECT_EQ(out.GetRow(1), (Row{Value::Int(2), Value::Int(7)}));
 }
 
 TEST(AggregatesTest, PartialAggregateSetDedups) {
   AggSpec spec = AggSpec::For(1, -1, AggregateFunction::kNone);
-  std::vector<Row> rows = {{Value::Int(1)}, {Value::Int(1)}, {Value::Int(2)}};
+  const Relation rows = MakeIntRelation({"X"}, {{1}, {1}, {2}});
   EXPECT_EQ(PartialAggregate(rows, spec).size(), 2u);
 }
 
 TEST(SetRddTest, SetSemanticsDelta) {
   Schema schema = Schema::Of({{"X", ValueType::kInt64}});
   SetRddPartition part(schema, AggSpec::For(1, -1, AggregateFunction::kNone));
-  std::vector<Row> delta;
-  part.MergeDelta({{Value::Int(1)}, {Value::Int(2)}}, &delta);
+  Relation delta(schema);
+  part.MergeDelta(Rel({{Value::Int(1)}, {Value::Int(2)}}), &delta);
   EXPECT_EQ(delta.size(), 2u);
-  delta.clear();
-  part.MergeDelta({{Value::Int(2)}, {Value::Int(3)}}, &delta);
+  delta.Clear();
+  part.MergeDelta(Rel({{Value::Int(2)}, {Value::Int(3)}}), &delta);
   EXPECT_EQ(delta.size(), 1u);  // only the new 3
   EXPECT_EQ(part.size(), 3u);
 }
@@ -484,17 +500,17 @@ TEST(SetRddTest, MinAggregateDelta) {
   Schema schema = Schema::Of({{"Dst", ValueType::kInt64},
                               {"Cost", ValueType::kInt64}});
   SetRddPartition part(schema, AggSpec::For(2, 1, AggregateFunction::kMin));
-  std::vector<Row> delta;
-  part.MergeDelta({{Value::Int(7), Value::Int(10)}}, &delta);
+  Relation delta(schema);
+  part.MergeDelta(Rel({{Value::Int(7), Value::Int(10)}}), &delta);
   ASSERT_EQ(delta.size(), 1u);
-  delta.clear();
+  delta.Clear();
   // Worse value: discarded.
-  part.MergeDelta({{Value::Int(7), Value::Int(12)}}, &delta);
+  part.MergeDelta(Rel({{Value::Int(7), Value::Int(12)}}), &delta);
   EXPECT_TRUE(delta.empty());
   // Better value: becomes the new state and enters the delta.
-  part.MergeDelta({{Value::Int(7), Value::Int(5)}}, &delta);
+  part.MergeDelta(Rel({{Value::Int(7), Value::Int(5)}}), &delta);
   ASSERT_EQ(delta.size(), 1u);
-  EXPECT_EQ(delta[0][1].AsInt(), 5);
+  EXPECT_EQ(delta.ValueAt(0, 1).AsInt(), 5);
   Relation state = part.ToRelation();
   ASSERT_EQ(state.size(), 1u);
   EXPECT_EQ(state.row(0)[1].AsInt(), 5);
@@ -504,13 +520,13 @@ TEST(SetRddTest, SumAggregateAccumulatesIncrements) {
   Schema schema = Schema::Of({{"Dst", ValueType::kInt64},
                               {"Cnt", ValueType::kInt64}});
   SetRddPartition part(schema, AggSpec::For(2, 1, AggregateFunction::kSum));
-  std::vector<Row> delta;
-  part.MergeDelta({{Value::Int(1), Value::Int(2)}}, &delta);
-  part.MergeDelta({{Value::Int(1), Value::Int(3)}}, &delta);
+  Relation delta(schema);
+  part.MergeDelta(Rel({{Value::Int(1), Value::Int(2)}}), &delta);
+  part.MergeDelta(Rel({{Value::Int(1), Value::Int(3)}}), &delta);
   // State accumulates 2+3; deltas carry the increments 2 then 3.
   ASSERT_EQ(delta.size(), 2u);
-  EXPECT_EQ(delta[0][1].AsInt(), 2);
-  EXPECT_EQ(delta[1][1].AsInt(), 3);
+  EXPECT_EQ(delta.ValueAt(0, 1).AsInt(), 2);
+  EXPECT_EQ(delta.ValueAt(1, 1).AsInt(), 3);
   Relation state = part.ToRelation();
   ASSERT_EQ(state.size(), 1u);
   EXPECT_EQ(state.row(0)[1].AsInt(), 5);
@@ -519,9 +535,9 @@ TEST(SetRddTest, SumAggregateAccumulatesIncrements) {
 TEST(SetRddTest, ByteSizeGrowsWithState) {
   Schema schema = Schema::Of({{"X", ValueType::kInt64}});
   SetRddPartition part(schema, AggSpec::For(1, -1, AggregateFunction::kNone));
-  std::vector<Row> delta;
+  Relation delta(schema);
   EXPECT_EQ(part.byte_size(), 0u);
-  part.MergeDelta({{Value::Int(1)}}, &delta);
+  part.MergeDelta(Rel({{Value::Int(1)}}), &delta);
   EXPECT_GT(part.byte_size(), 0u);
 }
 
@@ -529,11 +545,11 @@ TEST(SetRddTest, CollectAcrossPartitions) {
   Schema schema = Schema::Of({{"X", ValueType::kInt64}});
   SetRdd rdd(schema, AggSpec::For(1, -1, AggregateFunction::kNone),
              Partitioning{{0}, 4});
-  std::vector<Row> delta;
+  Relation delta(schema);
   for (int64_t x = 0; x < 20; ++x) {
     Row row = {Value::Int(x)};
     const int p = rdd.partitioning().PartitionOf(row);
-    rdd.partition(p)->MergeDelta({row}, &delta);
+    rdd.partition(p)->MergeDelta(Rel({row}), &delta);
   }
   EXPECT_EQ(rdd.TotalRows(), 20u);
   EXPECT_EQ(rdd.Collect().size(), 20u);

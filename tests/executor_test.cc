@@ -300,15 +300,16 @@ TEST(PipelineTest, MorselRunsConcatenateToRunAll) {
   ASSERT_TRUE(program.has_value());
   auto bound = program->Bind(ctx);
   ASSERT_TRUE(bound.ok()) << bound.status();
-  std::vector<storage::Row> whole;
+  Relation whole;
   ASSERT_TRUE(bound->RunAll(&whole).ok());
   for (size_t morsel : {1u, 2u, 3u, 100u}) {
-    std::vector<storage::Row> pieced;
+    Relation pieced;
     for (storage::RowRange r :
          storage::SplitIntoMorsels(bound->driver_rows(), morsel)) {
       ASSERT_TRUE(bound->Run(r, &pieced).ok());
     }
-    EXPECT_EQ(pieced, whole) << "morsel_rows=" << morsel;
+    EXPECT_EQ(pieced.MaterializeRows(), whole.MaterializeRows())
+        << "morsel_rows=" << morsel;
   }
 }
 

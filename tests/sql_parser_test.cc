@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "sql/lexer.h"
@@ -43,6 +44,30 @@ TEST(LexerTest, ReportsErrorsWithPosition) {
   ASSERT_FALSE(tokens.ok());
   EXPECT_NE(tokens.status().message().find("line 1"), std::string::npos);
   EXPECT_FALSE(Lex("SELECT #").ok());
+}
+
+TEST(LexerTest, OutOfRangeIntegerLiteralsAreParseErrors) {
+  // strtoll would saturate each of these at INT64_MAX.
+  for (const char* sql :
+       {"SELECT a FROM t WHERE a = 9223372036854775808",
+        "SELECT a FROM t WHERE a = 99999999999999999999",
+        "SELECT 9223372036854775808 FROM t WHERE a = 5"}) {
+    auto q = Parser::ParseQuery(sql);
+    ASSERT_FALSE(q.ok()) << sql;
+    EXPECT_EQ(q.status().code(), common::StatusCode::kParseError) << sql;
+    EXPECT_NE(q.status().message().find("out of range"), std::string::npos)
+        << q.status().message();
+  }
+}
+
+TEST(LexerTest, Int64BoundsStillLex) {
+  auto tokens = Lex("9223372036854775807");
+  ASSERT_TRUE(tokens.ok()) << tokens.status();
+  EXPECT_EQ((*tokens)[0].type, TokenType::kIntLiteral);
+  EXPECT_EQ((*tokens)[0].int_value, INT64_MAX);
+  // INT64_MIN is written as an expression over in-range literals.
+  EXPECT_TRUE(
+      Parser::ParseQuery("SELECT -9223372036854775807 - 1 FROM t").ok());
 }
 
 TEST(ParserTest, SimpleSelect) {

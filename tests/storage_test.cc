@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -48,6 +49,29 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int(7).Hash(), Value::Double(7.0).Hash());
   EXPECT_NE(Value::Int(7).Hash(), Value::Int(8).Hash());
   EXPECT_EQ(Value::String("x").Hash(), Value::String("x").Hash());
+}
+
+TEST(ValueTest, DoubleHashEdgesMatchCellHash) {
+  const double two63 = 9223372036854775808.0;  // 2^63: not an int64
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> edges = {two63, -two63, inf, -inf, nan,
+                                     0.0,   -0.0,   9007199254740993.0};
+  Relation rel{Schema::Of({{"X", ValueType::kDouble}})};
+  for (double v : edges) rel.AppendRow({Value::Double(v)});
+  for (size_t i = 0; i < edges.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(rel.chunk(0).HashCell(i, 0), Value::Double(edges[i]).Hash());
+    EXPECT_EQ(HashDouble(edges[i]), Value::Double(edges[i]).Hash());
+  }
+  // -2^63 is INT64_MIN; 2^63 is out of range and hashes its bit pattern.
+  EXPECT_EQ(Value::Double(-two63).Hash(),
+            Value::Int(std::numeric_limits<int64_t>::min()).Hash());
+  uint64_t bits;
+  std::memcpy(&bits, &two63, sizeof(bits));
+  EXPECT_EQ(Value::Double(two63).Hash(), common::MixHash64(bits));
+  EXPECT_EQ(Value::Double(0.0).Hash(), Value::Double(-0.0).Hash());
+  EXPECT_EQ(Value::Double(0.0).Hash(), Value::Int(0).Hash());
 }
 
 TEST(ValueTest, ToStringRendering) {
