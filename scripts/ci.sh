@@ -25,6 +25,15 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 RASQL_VERIFY_STAGES=1 \
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
+# Benchmark output checks: a short run of every perfbench workload (its own
+# Release build under .bench_build/) checks the local and distributed
+# engines' answers against the BFS, SSSP and CC oracles and the grid
+# closed form, and every cache hit against a cold execution. run.py exits
+# non-zero when any check fails.
+for workload in analytics-dist serve-read serve-write; do
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 3
+done
+
 # Batch-mode gate under ASan (DESIGN.md §13, §15): the vectorized kernels
 # index raw chunk arrays through selection vectors and fill preallocated
 # probe scratch — exactly the code ASan must see clean. The chunk-layout
@@ -75,10 +84,12 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 # Local-fixpoint thread matrix under TSan: the partitioned local path runs
 # per-partition semi-naive terms and per-branch naive candidates on the
 # pool, at threads {1,2,8} in both modes (LocalFixpointParallelTest runs
-# the full matrix internally). Filtered re-run for the same reason as
-# above: the gate stays explicit even if the suite reorganizes.
+# the full matrix internally), and every unit probes its plan's shared
+# loop-invariant build side concurrently (DESIGN.md §18; the build-once
+# test runs threads × morsel × batch). Filtered re-run for the same reason
+# as above: the gate stays explicit even if the suite reorganizes.
 "${TSAN_BUILD_DIR}/tests/fixpoint_test" \
-  --gtest_filter='*LocalFixpointParallel*'
+  --gtest_filter='*LocalFixpointParallel*:*BuildsTheEdgeTableOnce*'
 
 # Canonical collect under TSan (DESIGN.md §16): partition tasks run on
 # the pool between stages — each sorts its own SetRdd slice into its own
@@ -145,6 +156,13 @@ serving_smoke() {
   done
   local port
   port=$(cat "${port_file}")
+  # A FROM list past the parser's cap (Parser::kMaxExprDepth) is a typed
+  # parse error, and the server keeps serving the rest of the script.
+  local wide="SELECT t0.Src FROM edge t0"
+  for i in $(seq 1 299); do wide+=", edge t${i}"; done
+  local wide_out
+  wide_out=$("${build_dir}/src/rasql_client" --port="${port}" "${wide}")
+  grep -q "^ERROR PARSE: .*FROM list has more than 256" <<<"${wide_out}"
   local tc="WITH recursive tc (Src, Dst) AS
       (SELECT Src, Dst FROM edge) UNION
       (SELECT tc.Src, edge.Dst FROM tc, edge WHERE tc.Dst = edge.Src)

@@ -224,6 +224,13 @@ class StepEvaluator {
     return EvalFusedHash(delta, range, partition, base_binding, out);
   }
 
+  /// Partitions whose build-side hash table has been built (and cached).
+  size_t hash_builds() const {
+    return static_cast<size_t>(
+        std::count_if(hash_cache_.begin(), hash_cache_.end(),
+                      [](const auto& table) { return table != nullptr; }));
+  }
+
  private:
   Status EvalFusedHash(const Relation& delta, storage::RowRange range,
                        int partition, const BaseBinding& base_binding,
@@ -1068,6 +1075,9 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   if (warm != nullptr) {
     stats->iterations_saved =
         std::max(0, warm->prior_iterations - stats->iterations);
+  }
+  for (const StepEvaluator& step : steps) {
+    stats->hash_builds += step.hash_builds();
   }
 
   // Canonical (sorted) output, matching the local evaluator: hash-state

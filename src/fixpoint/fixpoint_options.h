@@ -95,6 +95,12 @@ struct FixpointStats {
   /// base/seed executions (per-partition step evaluation goes through
   /// cached StepEvaluators, not the executor).
   size_t plan_executions = 0;
+  /// Join hash tables built for recursive-step build sides (PAPER App. D).
+  /// Local: each recursive plan's loop-invariant build sides once per
+  /// evaluation, plus one per unit for every build side that reads the view
+  /// (DESIGN.md §18); distributed: the StepEvaluators' per-partition cache
+  /// fills. Interpreted fallbacks inside physical::Execute are not counted.
+  size_t hash_builds = 0;
   bool hit_iteration_limit = false;
   bool used_semi_naive = false;
   /// Distributed decomposed-plan evaluation ran (paper Sec. 7.2).
@@ -118,6 +124,7 @@ struct FixpointStats {
     iterations = std::max(iterations, other.iterations);
     total_delta_rows += other.total_delta_rows;
     plan_executions += other.plan_executions;
+    hash_builds += other.hash_builds;
     hit_iteration_limit |= other.hit_iteration_limit;
     used_semi_naive |= other.used_semi_naive;
     used_decomposed |= other.used_decomposed;

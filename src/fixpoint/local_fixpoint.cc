@@ -82,14 +82,43 @@ ExecContext BaseContext(const std::map<std::string, const Relation*>& tables,
   return ctx;
 }
 
-/// One plan evaluation, morsel-splittable when it compiles to a fused
-/// pipeline (DESIGN.md §10). `make_context` binds the unit's recursive
-/// references; it is invoked at bind time (pipeline) or run time
+/// A recursive plan, compiled once per evaluation (DESIGN.md §18). Its
+/// loop-invariant steps — filters, projections and every join build side
+/// that reads no recursive reference — are bound once, on the driver, the
+/// first time the plan has a unit, and borrowed read-only by every unit of
+/// every later iteration: the cached build side of PAPER App. D. No
+/// `program` means the plan runs interpreted: it does not compile to a
+/// pipeline, or it probes under sort-merge (the Fig. 11 ablation keeps the
+/// tree walk's merge join).
+struct CompiledPlan {
+  const LogicalPlan* plan = nullptr;
+  std::optional<physical::PipelineProgram> program;
+  std::optional<physical::BoundPipeline> invariant;
+};
+
+CompiledPlan CompilePlan(const LogicalPlan& plan,
+                         const FixpointOptions& options) {
+  CompiledPlan out;
+  out.plan = &plan;
+  // Pipelines are used regardless of use_codegen — the bound evaluators
+  // honor the flag, so rows and order match the interpreted oracle either
+  // way (executor_test pins this).
+  out.program = physical::PipelineProgram::Compile(plan);
+  if (out.program.has_value() && out.program->has_probe_steps() &&
+      options.join_algorithm != physical::JoinAlgorithm::kHash) {
+    out.program.reset();
+  }
+  return out;
+}
+
+/// One plan evaluation, morsel-splittable when its plan compiled to a
+/// fused pipeline (DESIGN.md §10). `make_context` binds the unit's
+/// recursive references; it is invoked at bind time (pipeline) or run time
 /// (interpreted fallback), so the relations it resolves must outlive the
 /// phase. After RunMorselUnits, `slots[m]` holds morsel m's output rows;
 /// concatenating the slots in order reproduces the whole-plan evaluation.
 struct MorselUnit {
-  const LogicalPlan* plan = nullptr;
+  CompiledPlan* compiled = nullptr;
   std::function<ExecContext()> make_context;
   std::optional<physical::BoundPipeline> pipeline;
   std::vector<storage::RowRange> morsels;
@@ -99,33 +128,43 @@ struct MorselUnit {
 /// Evaluates a batch of units on the pool in two flat phases (ParallelFor
 /// must not nest, so morsels are flattened into one task list rather than
 /// scheduled from inside a per-unit task):
-///   A. bind — compile + bind each unit's fused pipeline and split its
-///      driver into `options.runtime.morsel_rows`-sized RowRanges;
+///   A. bind — resolve each unit's driver and view-reading build sides
+///      over its plan's shared invariant steps (bound on the driver first,
+///      against `base_ctx`, if this is the plan's first unit), and split
+///      the driver into `options.runtime.morsel_rows`-sized RowRanges;
 ///   B. run — every (unit, morsel) task evaluates independently into its
 ///      own slot.
-/// Units that don't compile (pipeline breakers, probe steps under
-/// sort-merge) run as a single interpreted whole-plan task — their output
-/// is identical, just unsplit. The morsel decomposition depends only on
-/// driver sizes, so slots (and any ordered merge of them) are bit-identical
-/// for every thread count and morsel size.
+/// Units whose plan has no pipeline run as a single interpreted
+/// whole-plan task — their output is identical, just unsplit. The morsel
+/// decomposition depends only on driver sizes, so slots (and any ordered
+/// merge of them) are bit-identical for every thread count and morsel
+/// size. Adds every join hash table built to `stats->hash_builds`.
 Status RunMorselUnits(std::vector<MorselUnit>* units,
-                      const FixpointOptions& options, ThreadPool* pool) {
+                      const ExecContext& base_ctx,
+                      const FixpointOptions& options, ThreadPool* pool,
+                      FixpointStats* stats) {
   const size_t morsel_rows = options.runtime.morsel_rows;
   const int num_units = static_cast<int>(units->size());
 
-  // Phase A: bind. Pipelines are used regardless of use_codegen — the
-  // bound evaluators honor the flag, so rows and order match the
-  // interpreted oracle either way (executor_test pins this).
+  // Invariant steps, once per plan: here on the driver, before any unit
+  // of the plan binds against them.
+  for (MorselUnit& unit : *units) {
+    CompiledPlan& compiled = *unit.compiled;
+    if (compiled.program.has_value() && !compiled.invariant.has_value()) {
+      RASQL_ASSIGN_OR_RETURN(compiled.invariant,
+                             compiled.program->BindInvariant(base_ctx));
+      stats->hash_builds += compiled.invariant->hash_builds();
+    }
+  }
+
+  // Phase A: bind.
   StageStatus bind_failure(std::max(num_units, 1));
   pool->ParallelFor(num_units, [&](int u) {
     MorselUnit& unit = (*units)[u];
-    std::optional<physical::PipelineProgram> program =
-        physical::PipelineProgram::Compile(*unit.plan);
-    if (program.has_value() &&
-        (!program->has_probe_steps() ||
-         options.join_algorithm == physical::JoinAlgorithm::kHash)) {
+    const CompiledPlan& compiled = *unit.compiled;
+    if (compiled.program.has_value()) {
       common::Result<physical::BoundPipeline> bound =
-          program->Bind(unit.make_context());
+          compiled.program->Bind(unit.make_context(), &*compiled.invariant);
       if (!bound.ok()) {
         bind_failure.Fail(u, bound.status());
         return;
@@ -138,11 +177,17 @@ Status RunMorselUnits(std::vector<MorselUnit>* units,
     }
   });
   RASQL_RETURN_IF_ERROR(bind_failure.First());
+  for (const MorselUnit& unit : *units) {
+    if (unit.pipeline.has_value()) {
+      stats->hash_builds += unit.pipeline->hash_builds();
+    }
+  }
 
   // Phase B: flattened (unit, morsel) tasks.
   size_t total = 0;
   for (MorselUnit& unit : *units) {
-    unit.slots.assign(unit.morsels.size(), Relation(unit.plan->schema()));
+    unit.slots.assign(unit.morsels.size(),
+                      Relation(unit.compiled->plan->schema()));
     total += unit.morsels.size();
   }
   std::vector<std::pair<int, int>> task_of;
@@ -163,7 +208,7 @@ Status RunMorselUnits(std::vector<MorselUnit>* units,
       return;
     }
     common::Result<Relation> rel =
-        physical::Execute(*unit.plan, unit.make_context());
+        physical::Execute(*unit.compiled->plan, unit.make_context());
     if (!rel.ok()) {
       failure.Fail(i, rel.status());
       return;
@@ -239,24 +284,28 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
   // per iteration.
   bool needs_all = false;
   std::vector<int> refs_per_plan;
+  std::vector<CompiledPlan> compiled;
+  compiled.reserve(view.recursive_plans.size());
   for (const plan::PlanPtr& p : view.recursive_plans) {
     const int n = static_cast<int>(CollectRecursiveRefs(*p).size());
     refs_per_plan.push_back(n);
     if (n > 1) needs_all = true;
+    compiled.push_back(CompilePlan(*p, options));
   }
 
   // One semi-naive term per (plan, recursive-ref ordinal): that reference
   // is bound to the delta, the others to the current `all`. Binding the
   // delta ref to one partition's slice at a time is an exact split of the
-  // term — the term is linear in that reference.
+  // term — the term is linear in that reference. A plan's terms share its
+  // compiled pipeline and invariant steps.
   struct Term {
-    const LogicalPlan* plan;
+    CompiledPlan* compiled;
     int ordinal;
   };
   std::vector<Term> terms;
   for (size_t pi = 0; pi < view.recursive_plans.size(); ++pi) {
     for (int t = 0; t < refs_per_plan[pi]; ++t) {
-      terms.push_back({view.recursive_plans[pi].get(), t});
+      terms.push_back({&compiled[pi], t});
     }
   }
 
@@ -289,10 +338,11 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
     if (needs_all) all_rel = state.Collect();
 
     // Map phase: one morsel unit per (non-empty partition, semi-naive
-    // term), with read-only sharing of `all_rel` and the base tables.
-    // RunMorselUnits binds each unit's fused pipeline and evaluates its
-    // driver morsels as independent tasks, so a skewed partition's work
-    // spreads across threads instead of serializing the iteration.
+    // term), with read-only sharing of `all_rel`, the base tables and the
+    // plans' invariant steps. RunMorselUnits binds each unit's fused
+    // pipeline and evaluates its driver morsels as independent tasks, so a
+    // skewed partition's work spreads across threads instead of
+    // serializing the iteration.
     std::vector<ShuffleWrite> writes(P, ShuffleWrite(P));
     std::vector<MorselUnit> units;
     std::vector<size_t> unit_begin(P + 1, 0);
@@ -301,7 +351,7 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
       if (delta_rel[p].empty()) continue;
       for (const Term& term : terms) {
         MorselUnit unit;
-        unit.plan = term.plan;
+        unit.compiled = term.compiled;
         unit.make_context = [&base_ctx, &delta_rel_p = delta_rel[p],
                              &all_rel, ordinal = term.ordinal]() {
           ExecContext ctx = base_ctx;
@@ -316,7 +366,8 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
       }
     }
     unit_begin[P] = units.size();
-    RASQL_RETURN_IF_ERROR(RunMorselUnits(&units, options, pool));
+    RASQL_RETURN_IF_ERROR(
+        RunMorselUnits(&units, base_ctx, options, pool, stats));
     stats->plan_executions += units.size();
 
     // Merge phase: partition p routes its units' slots in (term, morsel)
@@ -395,12 +446,12 @@ Result<std::map<std::string, Relation>> EvaluateNaive(
   // One task per recursive branch, across all views in the clique.
   struct Task {
     size_t view_index;
-    const LogicalPlan* plan;
+    CompiledPlan compiled;
   };
   std::vector<Task> tasks;
   for (size_t vi = 0; vi < clique.views.size(); ++vi) {
     for (const plan::PlanPtr& p : clique.views[vi].recursive_plans) {
-      tasks.push_back({vi, p.get()});
+      tasks.push_back({vi, CompilePlan(*p, options)});
     }
   }
   const int T = static_cast<int>(tasks.size());
@@ -426,10 +477,11 @@ Result<std::map<std::string, Relation>> EvaluateNaive(
     };
     std::vector<MorselUnit> units(tasks.size());
     for (int t = 0; t < T; ++t) {
-      units[t].plan = tasks[t].plan;
+      units[t].compiled = &tasks[t].compiled;
       units[t].make_context = make_naive_context;
     }
-    RASQL_RETURN_IF_ERROR(RunMorselUnits(&units, options, pool));
+    RASQL_RETURN_IF_ERROR(
+        RunMorselUnits(&units, base_ctx, options, pool, stats));
     stats->plan_executions += tasks.size();
 
     // Per view: base rows + branch slots in declaration order (morsels in

@@ -221,6 +221,10 @@ Result<StageGraph> PlanLocalStages(const analysis::RecursiveClique& clique,
 
   RASQL_ASSIGN_OR_RETURN(const FixpointMode mode,
                          ResolveLocalMode(clique, options));
+  // Every unit of an iteration borrows its plan's loop-invariant steps —
+  // join build sides with their hash tables, compiled filters and
+  // projections — bound once per evaluation on the driver (DESIGN.md §18).
+  const int r_build = g.AddResource("shared-build-sides");
   if (mode == FixpointMode::kSemiNaive) {
     // Phases of one EvaluateSemiNaive iteration (local_fixpoint.cc): the
     // frozen inputs are read-shared, morsel slots are split-slot-owned,
@@ -247,6 +251,7 @@ Result<StageGraph> PlanLocalStages(const analysis::RecursiveClique& clique,
       StageNode& map = g.AddStage("iter-map", StageKind::kLocal);
       map.split = true;
       g.Claim(r_frozen, kReadShared);
+      g.Claim(r_build, kReadShared);
       g.Claim(r_slots, kSplitSlotOwned);
     }
     {
@@ -275,6 +280,7 @@ Result<StageGraph> PlanLocalStages(const analysis::RecursiveClique& clique,
     StageNode& branches = g.AddStage("naive-branches", StageKind::kLocal);
     branches.split = true;
     g.Claim(r_state, kReadShared);
+    g.Claim(r_build, kReadShared);
     g.Claim(r_slots, kSplitSlotOwned);
   }
   {

@@ -17,6 +17,19 @@ using storage::Relation;
 using storage::Row;
 using storage::RowRange;
 
+namespace {
+
+/// True when `node`'s result depends on the fixpoint state.
+bool ReadsRecursiveRef(const LogicalPlan& node) {
+  if (node.kind() == PlanKind::kRecursiveRef) return true;
+  for (const plan::PlanPtr& child : node.children()) {
+    if (ReadsRecursiveRef(*child)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 std::optional<PipelineProgram> PipelineProgram::Compile(
     const LogicalPlan& plan) {
   PipelineProgram program;
@@ -47,6 +60,7 @@ std::optional<PipelineProgram> PipelineProgram::Compile(
         Step step;
         step.kind = Step::Kind::kHashProbe;
         step.join = &join;
+        step.invariant = !ReadsRecursiveRef(join.child(1));
         reversed.push_back(step);
         ++program.num_probe_steps_;
         node = &node->child(0);
@@ -68,8 +82,11 @@ std::optional<PipelineProgram> PipelineProgram::Compile(
   }
 }
 
-Result<BoundPipeline> PipelineProgram::Bind(const ExecContext& ctx) const {
+Result<BoundPipeline> PipelineProgram::Bind(
+    const ExecContext& ctx, const BoundPipeline* invariant) const {
   RASQL_CHECK(driver_ != nullptr);
+  RASQL_CHECK(invariant == nullptr ||
+              invariant->steps_.size() == steps_.size());
   BoundPipeline bound;
   bound.batch_rows_ = ctx.batch_rows;
 
@@ -85,44 +102,71 @@ Result<BoundPipeline> PipelineProgram::Bind(const ExecContext& ctx) const {
   }
 
   bound.steps_.reserve(steps_.size());
-  for (const Step& step : steps_) {
-    BoundPipeline::BoundStep bs;
-    bs.kind = step.kind;
-    switch (step.kind) {
-      case Step::Kind::kFilter:
-        bs.predicate.emplace(step.filter->predicate(), ctx.use_codegen);
-        // Compile the whole predicate for the batch path, mirroring
-        // whichever scalar engine the row evaluator above will use so both
-        // modes agree bit for bit (expr/vec_program.h).
-        if (ctx.batch_rows > 0) {
-          bs.vec_filter = expr::VecProgram::CompileForFilter(
-              step.filter->predicate(), ctx.use_codegen);
-        }
-        break;
-      case Step::Kind::kProject:
-        bs.projector.emplace(step.project->exprs(), ctx.use_codegen);
-        break;
-      case Step::Kind::kHashProbe: {
-        RASQL_ASSIGN_OR_RETURN(bs.build,
-                               ExecuteBorrowed(step.join->child(1), ctx));
-        bs.table.emplace(*bs.build.rel, step.join->right_keys());
-        bs.probe_keys = step.join->left_keys();
-        bs.left_width = step.join->child(0).schema().num_columns();
-        bs.right_width = step.join->child(1).schema().num_columns();
-        break;
-      }
+  for (size_t s = 0; s < steps_.size(); ++s) {
+    if (invariant != nullptr && steps_[s].invariant) {
+      bound.steps_.push_back(invariant->steps_[s]);
+    } else {
+      RASQL_RETURN_IF_ERROR(bound.BindStep(steps_[s], ctx));
     }
-    bound.steps_.push_back(std::move(bs));
   }
   return bound;
+}
+
+Result<BoundPipeline> PipelineProgram::BindInvariant(
+    const ExecContext& ctx) const {
+  BoundPipeline bound;
+  bound.batch_rows_ = ctx.batch_rows;
+  bound.steps_.reserve(steps_.size());
+  for (const Step& step : steps_) {
+    if (step.invariant) {
+      RASQL_RETURN_IF_ERROR(bound.BindStep(step, ctx));
+    } else {
+      bound.steps_.push_back(nullptr);
+    }
+  }
+  return bound;
+}
+
+Status BoundPipeline::BindStep(const PipelineProgram::Step& step,
+                               const ExecContext& ctx) {
+  auto bs = std::make_unique<BoundStep>();
+  bs->kind = step.kind;
+  switch (step.kind) {
+    case PipelineProgram::Step::Kind::kFilter:
+      bs->predicate.emplace(step.filter->predicate(), ctx.use_codegen);
+      // Compile the whole predicate for the batch path, mirroring
+      // whichever scalar engine the row evaluator above will use so both
+      // modes agree bit for bit (expr/vec_program.h).
+      if (ctx.batch_rows > 0) {
+        bs->vec_filter = expr::VecProgram::CompileForFilter(
+            step.filter->predicate(), ctx.use_codegen);
+      }
+      break;
+    case PipelineProgram::Step::Kind::kProject:
+      bs->projector.emplace(step.project->exprs(), ctx.use_codegen);
+      break;
+    case PipelineProgram::Step::Kind::kHashProbe: {
+      RASQL_ASSIGN_OR_RETURN(bs->build,
+                             ExecuteBorrowed(step.join->child(1), ctx));
+      bs->table.emplace(*bs->build.rel, step.join->right_keys());
+      bs->probe_keys = step.join->left_keys();
+      bs->left_width = step.join->child(0).schema().num_columns();
+      bs->right_width = step.join->child(1).schema().num_columns();
+      ++hash_builds_;
+      break;
+    }
+  }
+  steps_.push_back(bs.get());
+  owned_steps_.push_back(std::move(bs));
+  return Status::OK();
 }
 
 std::vector<BoundPipeline::StepScratch> BoundPipeline::NewScratch() const {
   std::vector<StepScratch> scratch(steps_.size());
   for (size_t s = 0; s < steps_.size(); ++s) {
-    if (steps_[s].kind == PipelineProgram::Step::Kind::kHashProbe) {
-      scratch[s].combined.resize(steps_[s].left_width +
-                                 steps_[s].right_width);
+    if (steps_[s]->kind == PipelineProgram::Step::Kind::kHashProbe) {
+      scratch[s].combined.resize(steps_[s]->left_width +
+                                 steps_[s]->right_width);
     }
   }
   return scratch;
@@ -135,7 +179,7 @@ void BoundPipeline::PushRow(const Row& row, size_t step,
     sink->AppendRow(row);
     return;
   }
-  const BoundStep& bs = steps_[step];
+  const BoundStep& bs = *steps_[step];
   StepScratch& ss = (*scratch)[step];
   switch (bs.kind) {
     case PipelineProgram::Step::Kind::kFilter:
@@ -208,7 +252,7 @@ Status BoundPipeline::RunBatch(RowRange range, Relation* sink) const {
       // different engine.
       size_t s = 0;
       for (; s < steps_.size() && !sel.empty(); ++s) {
-        const BoundStep& bs = steps_[s];
+        const BoundStep& bs = *steps_[s];
         if (bs.kind != PipelineProgram::Step::Kind::kFilter ||
             !bs.vec_filter) {
           break;
@@ -218,10 +262,10 @@ Status BoundPipeline::RunBatch(RowRange range, Relation* sink) const {
       if (sel.empty()) continue;
 
       if (s < steps_.size() &&
-          steps_[s].kind == PipelineProgram::Step::Kind::kHashProbe) {
+          steps_[s]->kind == PipelineProgram::Step::Kind::kHashProbe) {
         // Column-wise probe: hash the key cells straight out of the chunk;
         // materialize the combined row only for surviving matches.
-        const BoundStep& bs = steps_[s];
+        const BoundStep& bs = *steps_[s];
         StepScratch& ss = scratch[s];
         for (const uint32_t r : sel) {
           ss.matches.clear();

@@ -1,6 +1,7 @@
 #ifndef RASQL_PHYSICAL_PIPELINE_H_
 #define RASQL_PHYSICAL_PIPELINE_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -29,6 +30,12 @@ class BoundPipeline;
 /// executor.cc remains the oracle: for any plan the pipeline produces the
 /// same rows in the same order (probe-major driver order, build matches in
 /// JoinHashTable::Probe order — exactly the tree walk's hash-join order).
+///
+/// A step is loop-invariant when nothing it binds reads the fixpoint
+/// state: every filter and projection, and every probe whose build subtree
+/// holds no RecursiveRefNode. A fixpoint binds those steps once per
+/// evaluation (BindInvariant) and shares them with every per-unit Bind —
+/// the cached build side of PAPER App. D (DESIGN.md §18).
 class PipelineProgram {
  public:
   /// Returns the compiled pipeline, or nullopt when the plan is not a
@@ -40,7 +47,19 @@ class PipelineProgram {
   /// hash tables and expression evaluators. The returned pipeline borrows
   /// relations owned by `ctx` (and the plan), so both must outlive it; it
   /// does not retain `ctx` itself.
-  common::Result<BoundPipeline> Bind(const ExecContext& ctx) const;
+  ///
+  /// With `invariant` (a BindInvariant result of this program under the
+  /// same tables and options) the loop-invariant steps are borrowed from
+  /// it read-only instead of rebuilt, so `invariant` must outlive the
+  /// result too; only the driver and the build sides that read the view
+  /// are resolved against `ctx`.
+  common::Result<BoundPipeline> Bind(
+      const ExecContext& ctx, const BoundPipeline* invariant = nullptr) const;
+
+  /// Binds only the loop-invariant steps against `ctx` (which needs no
+  /// recursive resolver). The result has no driver and cannot Run: it is
+  /// the `invariant` argument of later Binds.
+  common::Result<BoundPipeline> BindInvariant(const ExecContext& ctx) const;
 
   /// True when the pipeline contains at least one join probe. Probe steps
   /// replicate the tree walk's *hash* join order; callers running under
@@ -57,6 +76,7 @@ class PipelineProgram {
     const plan::FilterNode* filter = nullptr;
     const plan::ProjectNode* project = nullptr;
     const plan::JoinNode* join = nullptr;  ///< probe; build = right child
+    bool invariant = true;  ///< binds nothing that reads the fixpoint state
   };
   const plan::LogicalPlan* driver_ = nullptr;
   std::vector<Step> steps_;  ///< driver-to-root order
@@ -67,7 +87,8 @@ class PipelineProgram {
 /// relations resolved, hash tables built, expressions compiled. Run() is
 /// const and carries its working state on the caller's stack, so one
 /// BoundPipeline may be shared by concurrent morsel tasks evaluating
-/// disjoint RowRanges of the same driver.
+/// disjoint RowRanges of the same driver, and its bound steps may be
+/// borrowed read-only by concurrent pipelines over other drivers.
 ///
 /// Two execution modes share the Run() entry point (DESIGN.md §13, §15).
 /// The interpreted mode materializes each driver row and pushes it through
@@ -87,6 +108,9 @@ class BoundPipeline {
   BoundPipeline& operator=(BoundPipeline&&) = default;
 
   size_t driver_rows() const { return driver_.rel->size(); }
+
+  /// Join hash tables this bind built; borrowed invariant steps excluded.
+  size_t hash_builds() const { return hash_builds_; }
 
   /// Pushes driver rows [range.begin, min(range.end, driver_rows())) through
   /// every step, appending produced rows to the `*sink` relation through
@@ -127,6 +151,10 @@ class BoundPipeline {
 
   std::vector<StepScratch> NewScratch() const;
 
+  /// Binds `step` against `ctx` as a new step owned by this pipeline.
+  common::Status BindStep(const PipelineProgram::Step& step,
+                          const ExecContext& ctx);
+
   void PushRow(const storage::Row& row, size_t step,
                std::vector<StepScratch>* scratch,
                storage::Relation* sink) const;
@@ -135,8 +163,13 @@ class BoundPipeline {
                           storage::Relation* sink) const;
 
   BorrowedRelation driver_;
-  std::vector<BoundStep> steps_;
+  /// Per step: built by this bind (held in `owned_steps_`) or, when
+  /// loop-invariant, borrowed from the `invariant` pipeline of Bind. Null
+  /// only for the view-reading steps of a BindInvariant result.
+  std::vector<const BoundStep*> steps_;
+  std::vector<std::unique_ptr<const BoundStep>> owned_steps_;
   size_t batch_rows_ = 0;
+  size_t hash_builds_ = 0;
 };
 
 }  // namespace rasql::physical

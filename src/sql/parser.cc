@@ -301,6 +301,10 @@ Result<SelectStmtPtr> Parser::ParseSelect() {
 
   if (MatchKeyword("from")) {
     do {
+      if (select->from.size() == static_cast<size_t>(kMaxExprDepth)) {
+        return ErrorHere("FROM list has more than " +
+                         std::to_string(kMaxExprDepth) + " tables");
+      }
       TableRef ref;
       if (Peek().type != TokenType::kIdentifier) {
         return ErrorHere("expected table name");

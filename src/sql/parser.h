@@ -25,6 +25,8 @@ class Parser {
   /// recursion (parentheses, NOT, unary minus, aggregate arguments) and the
   /// height of every expression tree it builds (AstExpr::height) are
   /// capped here. Deeper input is a parse error, not a stack overflow.
+  /// It caps a FROM list's length too: each item adds a level to the join
+  /// tree, whose schemas grow quadratically with the list.
   static constexpr int kMaxExprDepth = 256;
 
   /// Parses a single query (optionally WITH-prefixed).

@@ -229,10 +229,10 @@ class Shell {
     } else if (cmd == ".stats") {
       const auto& stats = last_.fixpoint_stats;
       std::printf(
-          "iterations=%d delta_rows=%zu plans=%zu semi_naive=%d "
-          "decomposed=%d capped=%d\n",
+          "iterations=%d delta_rows=%zu plans=%zu hash_builds=%zu "
+          "semi_naive=%d decomposed=%d capped=%d\n",
           stats.iterations, stats.total_delta_rows, stats.plan_executions,
-          stats.used_semi_naive, stats.used_decomposed,
+          stats.hash_builds, stats.used_semi_naive, stats.used_decomposed,
           stats.hit_iteration_limit);
       if (ctx_.config().incremental) {
         std::printf("warm_starts=%d seed_delta_rows=%zu iterations_saved=%d\n",

@@ -87,6 +87,11 @@ TEST(LocalFixpointTest, NonLinearTcMatchesLinear) {
                                nonlinear_result->at("tc")));
   // Non-linear doubling reaches the fixpoint in ~log(diameter) rounds.
   EXPECT_LT(s2.iterations, s1.iterations);
+  // Linear TC builds its loop-invariant edge table once. Both build sides
+  // of the non-linear join read the view, so every unit — every plan
+  // execution but the one base plan — builds its own.
+  EXPECT_EQ(s1.hash_builds, 1u);
+  EXPECT_EQ(s2.hash_builds, s2.plan_executions - 1);
 }
 
 TEST(LocalFixpointTest, SemiNaiveRequestRejectedWhenUnsafe) {
@@ -281,6 +286,7 @@ void ExpectIdentical(const LocalRun& a, const LocalRun& b,
   EXPECT_EQ(a.stats.iterations, b.stats.iterations) << label;
   EXPECT_EQ(a.stats.total_delta_rows, b.stats.total_delta_rows) << label;
   EXPECT_EQ(a.stats.plan_executions, b.stats.plan_executions) << label;
+  EXPECT_EQ(a.stats.hash_builds, b.stats.hash_builds) << label;
   EXPECT_EQ(a.stats.hit_iteration_limit, b.stats.hit_iteration_limit)
       << label;
   EXPECT_EQ(a.stats.used_semi_naive, b.stats.used_semi_naive) << label;
@@ -388,6 +394,74 @@ TEST(LocalFixpointTest, NonRecursiveCliqueReportsStats) {
   EXPECT_EQ(stats.iterations, 1);
   EXPECT_EQ(stats.plan_executions, 1u);
   EXPECT_EQ(stats.total_delta_rows, result->at("v").size());
+}
+
+Relation WeightedRmat() {
+  datagen::RmatOptions opt;
+  opt.num_vertices = 256;
+  opt.edges_per_vertex = 4;
+  opt.weighted = true;
+  opt.min_weight = 1.0;
+  opt.seed = 11;
+  return datagen::ToEdgeRelation(datagen::GenerateRmat(opt));
+}
+
+TEST(LocalFixpointTest, ColdSsspBuildsTheEdgeTableOnce) {
+  // PAPER App. D: the step's build side reads no recursive reference, so
+  // one shared hash table serves every partition, morsel and iteration
+  // instead of one per (partition, iteration) unit.
+  Relation edge = WeightedRmat();
+  std::map<std::string, const Relation*> tables = {{"edge", &edge}};
+  auto analyzed = Compile(kSssp, tables);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  for (FixpointMode mode : {FixpointMode::kSemiNaive, FixpointMode::kNaive}) {
+    for (int threads : {1, 2, 8}) {
+      for (size_t morsel_rows : {size_t{0}, size_t{7}}) {
+        for (size_t batch_rows : {size_t{0}, size_t{64}}) {
+          const std::string label =
+              std::string(mode == FixpointMode::kNaive ? "naive" : "semi") +
+              " threads=" + std::to_string(threads) +
+              " morsel=" + std::to_string(morsel_rows) +
+              " batch=" + std::to_string(batch_rows);
+          FixpointOptions options;
+          options.mode = mode;
+          options.runtime.num_threads = threads;
+          options.runtime.morsel_rows = morsel_rows;
+          options.runtime.batch_rows = batch_rows;
+          FixpointStats stats;
+          auto result = EvaluateCliqueLocal(analyzed->cliques[0], tables,
+                                            options, &stats);
+          ASSERT_TRUE(result.ok()) << label << ": " << result.status();
+          EXPECT_GT(stats.plan_executions, 5u) << label;
+          EXPECT_EQ(stats.hash_builds, 1u) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(DistributedFixpointTest, StepBuildSidesAreCachedPerPartition) {
+  Relation edge = WeightedRmat();
+  std::map<std::string, const Relation*> tables = {{"edge", &edge}};
+  auto analyzed = Compile(kSssp, tables);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  DistFixpointOptions combined;
+  DistFixpointOptions plain;
+  plain.combine_stages = false;
+  for (const DistFixpointOptions& options : {combined, plain}) {
+    dist::ClusterConfig config;
+    config.num_partitions = 6;
+    dist::Cluster cluster(config);
+    FixpointStats stats;
+    auto result = EvaluateCliqueDistributed(analyzed->cliques[0], tables,
+                                            &cluster, options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status();
+    // At most one build per partition for the one recursive step, however
+    // many iterations probe it.
+    EXPECT_GT(stats.iterations, 3);
+    EXPECT_GT(stats.hash_builds, 0u);
+    EXPECT_LE(stats.hash_builds, 6u);
+  }
 }
 
 TEST(CollectRecursiveRefsTest, FindsAllRefs) {

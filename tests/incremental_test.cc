@@ -171,6 +171,28 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{EngineKind::kDistributed, 8, 64}),
     CaseName);
 
+TEST(WarmStartBuilds, EmptySeedDeltaBuildsNoHashTable) {
+  // The appended edge leaves every reachable vertex, so the warm seed is
+  // empty and the loop never runs: the step's build side is bound lazily,
+  // at the first iteration with work, and is never built here.
+  engine::EngineConfig config;
+  config.incremental = true;
+  engine::RaSqlContext ctx(config);
+  ASSERT_TRUE(ctx.RegisterTable("edge", SeedEdges()).ok());
+  auto cold = ctx.Execute(kSssp);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(cold->fixpoint_stats.hash_builds, 1u);
+
+  ASSERT_TRUE(ctx.Execute("INSERT INTO edge VALUES (9001, 9002, 1.0)").ok());
+  auto warm = ctx.Execute(kSssp);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(warm->fixpoint_stats.warm_starts, 1);
+  EXPECT_EQ(warm->fixpoint_stats.seed_delta_rows, 0u);
+  EXPECT_EQ(warm->fixpoint_stats.hash_builds, 0u);
+  EXPECT_EQ(storage::FormatRelation(warm->relation, ResultFormat::kCsv),
+            storage::FormatRelation(cold->relation, ResultFormat::kCsv));
+}
+
 // ---- Ineligible queries fall back cold --------------------------------
 
 TEST(WarmStartFallback, NaiveModeNeverWarmStarts) {

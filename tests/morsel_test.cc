@@ -90,6 +90,8 @@ void ExpectIdentical(const engine::ExecutionResult& ref,
   EXPECT_EQ(ref.fixpoint_stats.plan_executions,
             got.fixpoint_stats.plan_executions)
       << label;
+  EXPECT_EQ(ref.fixpoint_stats.hash_builds, got.fixpoint_stats.hash_builds)
+      << label;
   EXPECT_EQ(ref.fixpoint_stats.used_semi_naive,
             got.fixpoint_stats.used_semi_naive)
       << label;

@@ -496,6 +496,25 @@ TEST(ServerTest, OverlyNestedSqlIsAParseErrorAndServingContinues) {
   EXPECT_TRUE(again.ok()) << again.status();
 }
 
+TEST(ServerTest, OverlyWideFromListIsAParseErrorAndServingContinues) {
+  TestServer ts;
+  ASSERT_TRUE(
+      ts.ctx->RegisterTable("one", MakeIntRelation({"a"}, {{1}})).ok());
+  Client client = ts.Connect();
+  // Past the FROM-list cap the join tree's schemas would grow
+  // quadratically; the parser refuses the list before any plan exists.
+  std::string wide = "SELECT t0.a FROM one t0";
+  for (int i = 1; i < 300; ++i) wide += ", one t" + std::to_string(i);
+  auto bad = client.Query(wide);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(client.last_error_code(), ErrorCode::kParse);
+
+  auto ok = client.Query("SELECT t0.a FROM one t0, one t1");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  auto again = client.Query("SELECT Src FROM edge WHERE Dst = 2");
+  EXPECT_TRUE(again.ok()) << again.status();
+}
+
 TEST(ServerTest, AdmissionControlRejectsWithTypedError) {
   // max_queue_depth=0 makes every request overflow the queue — the
   // deterministic version of "exec slots saturated, queue full".

@@ -287,6 +287,26 @@ TEST(ParserTest, ExpressionHeightIsCapped) {
   EXPECT_EQ(q->body->items[0].expr->height, 71);
 }
 
+std::string WideFrom(int tables) {
+  std::string sql = "SELECT t0.a FROM one t0";
+  for (int i = 1; i < tables; ++i) sql += ", one t" + std::to_string(i);
+  return sql;
+}
+
+TEST(ParserTest, FromListLengthIsCapped) {
+  // Every FROM item adds a join level; the list is capped like nesting.
+  auto at_cap = Parser::ParseQuery(WideFrom(Parser::kMaxExprDepth));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+  EXPECT_EQ(at_cap->body->from.size(),
+            static_cast<size_t>(Parser::kMaxExprDepth));
+  auto over = Parser::ParseQuery(WideFrom(Parser::kMaxExprDepth + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), common::StatusCode::kParseError);
+  EXPECT_NE(over.status().message().find("FROM list has more than 256"),
+            std::string::npos)
+      << over.status();
+}
+
 TEST(ParserTest, InsertLiteralRows) {
   auto script = Parser::ParseScript(
       "INSERT INTO edge VALUES (1, 2, 1.5), (-3, 4, -0.5), (5, NULL, 'x')");

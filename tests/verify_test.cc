@@ -363,6 +363,20 @@ TEST(ExplainStagesTest, LocalSemiNaiveTemplate) {
   EXPECT_NE(out.find("iter-map"), std::string::npos) << out;
   EXPECT_NE(out.find("split-slot-owned"), std::string::npos) << out;
   EXPECT_NE(out.find("mode: local semi-naive"), std::string::npos) << out;
+  EXPECT_NE(out.find("shared-build-sides(read-shared)"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("[RASQL-G000]"), std::string::npos) << out;
+}
+
+TEST(ExplainStagesTest, LocalNaiveTemplate) {
+  engine::EngineConfig config;
+  config.fixpoint.mode = fixpoint::FixpointMode::kNaive;
+  auto ctx = MakeContext(config);
+  const std::string out = ExplainStages(*ctx, kSssp);
+  EXPECT_NE(out.find("naive-branches"), std::string::npos) << out;
+  EXPECT_NE(out.find("mode: local naive"), std::string::npos) << out;
+  EXPECT_NE(out.find("shared-build-sides(read-shared)"), std::string::npos)
+      << out;
   EXPECT_NE(out.find("[RASQL-G000]"), std::string::npos) << out;
 }
 
