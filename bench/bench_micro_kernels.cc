@@ -6,10 +6,10 @@
 //     two-int64-key dense aggregate — with a hard identity check (any
 //     divergence fails the run). Always writes BENCH_vec_kernels.json
 //     (--json=path redirects).
-//   - the google-benchmark suite for scalar kernels: compiled vs
-//     interpreted expressions (the Fig. 7 effect at its source), cached
-//     hash-join probe (Fig. 11's source), and the broadcast codec
-//     (Fig. 6's compression). Skipped under --vec-only.
+//   - the google-benchmark suite for scalar kernels: the interpreted
+//     expression tree (the row side of Fig. 7), cached hash-join probe
+//     (Fig. 11's source), and the broadcast codec (Fig. 6's compression).
+//     Skipped under --vec-only.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +18,6 @@
 
 #include "bench/bench_util.h"
 #include "dist/broadcast.h"
-#include "expr/compiled_expr.h"
 #include "expr/expr.h"
 #include "physical/executor.h"
 #include "plan/logical_plan.h"
@@ -56,16 +55,6 @@ void BM_InterpretedExpr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterpretedExpr);
-
-void BM_CompiledExpr(benchmark::State& state) {
-  expr::ExprPtr e = CostExpr();
-  auto compiled = expr::CompiledExpr::Compile(*e);
-  Row row = BenchRow();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compiled->EvalBool(row));
-  }
-}
-BENCHMARK(BM_CompiledExpr);
 
 Relation BuildEdges(int64_t n) {
   Relation rel = storage::MakeIntRelation({"Src", "Dst"}, {});

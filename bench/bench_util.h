@@ -152,14 +152,14 @@ inline engine::EngineConfig RaSqlConfig() {
 }
 
 /// BigDatalog profile: SetRDD-style state but without RaSQL's stage
-/// combination and code generation (the architecture/optimization gap the
-/// paper credits for its improvements over BigDatalog, Sec. 9).
+/// combination and decomposed plans (the architecture gap the paper credits
+/// for its improvements over BigDatalog, Sec. 9). Expressions evaluate
+/// through the same engine in every profile.
 inline engine::EngineConfig BigDatalogConfig() {
   engine::EngineConfig config = RaSqlConfig();
   config.dist_fixpoint.combine_stages = false;
   config.dist_fixpoint.decomposed =
       fixpoint::DistFixpointOptions::Decomposed::kOff;
-  config.fixpoint.use_codegen = false;
   return config;
 }
 

@@ -136,9 +136,10 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 "${TSAN_BUILD_DIR}/tests/server_test" --gtest_filter='*Refresh*:*Incremental*'
 
 # Serving smoke test (DESIGN.md §12): boot rasql_serverd on an ephemeral
-# port, run a scripted client session through the prepare/execute, query,
-# cache-hit and typed-error paths, then shut down cleanly via SIGTERM and
-# require exit code 0 (the sigwait path, not a crash). Repeated against
+# port, run a scripted client session through int64 edge arithmetic, the
+# prepare/execute, query, cache-hit and typed-error paths, then shut down
+# cleanly via SIGTERM and require exit code 0 (the sigwait path, not a
+# crash). Repeated against
 # the TSan build so the socket loops and executor handoffs run under the
 # race detector too.
 serving_smoke() {
@@ -156,6 +157,18 @@ serving_smoke() {
   done
   local port
   port=$(cat "${port_file}")
+  # INT64_MIN / -1 traps in hardware; the engine wraps it to INT64_MIN
+  # (DESIGN.md §5). The server must answer it, then serve the rest of the
+  # script.
+  local wrap_out
+  wrap_out=$("${build_dir}/src/rasql_client" --port="${port}" \
+    "SELECT (Src - Src - 9223372036854775807 - 1) / -1 FROM edge WHERE Src = 0")
+  grep -q "^RESULT" <<<"${wrap_out}"
+  grep -q -x -- "-9223372036854775808" <<<"${wrap_out}"
+  if tail -n +3 <<<"${wrap_out}" | grep -q -v -x -- "-9223372036854775808"; then
+    echo "ci.sh: FAIL — INT64_MIN / -1 did not wrap to INT64_MIN" >&2
+    exit 1
+  fi
   # A FROM list past the parser's cap (Parser::kMaxExprDepth) is a typed
   # parse error, and the server keeps serving the rest of the script.
   local wide="SELECT t0.Src FROM edge t0"

@@ -52,6 +52,18 @@ if grep -rn -E 'unordered_(map|set)<[^>]*Row|RowHash' src/dist src/fixpoint \
        "Row-keyed hash containers, in src/dist/ and src/fixpoint/" >&2
   exit 1
 fi
+# 5. One expression semantics (DESIGN.md §15): Expr::Eval and VecProgram
+#    are the only evaluators. The double-only CompiledExpr, VecProgram's
+#    compiled mirror and the use_codegen knob that chose between them were
+#    deleted; nothing may bring them back. Whole words only: test suites
+#    such as CompiledExprTest kept their names.
+if grep -rnw -E 'CompiledExpr|use_codegen|kCompiledMirror|VecSemantics|CompileForFilter' \
+    src tests bench examples --include='*.cc' --include='*.h' \
+    --include='*.cpp'; then
+  echo "tidy.sh: FAIL — expressions have one semantics: evaluate through" \
+       "expr::Expr::Eval or expr::VecProgram" >&2
+  exit 1
+fi
 echo "tidy.sh: columnar-API grep gates passed"
 
 TIDY_BIN=${TIDY_BIN:-clang-tidy}

@@ -190,7 +190,6 @@ Result<ExecutionResult> RaSqlContext::Execute(const std::string& sql) {
       }
       physical::ExecContext ctx;
       for (const auto& [name, rel] : tables_) ctx.tables[name] = &rel;
-      ctx.use_codegen = config_.fixpoint.use_codegen;
       ctx.batch_rows = config_.runtime.batch_rows;
       ctx.join_algorithm = config_.fixpoint.join_algorithm;
       RASQL_ASSIGN_OR_RETURN(Relation rel,
@@ -354,7 +353,7 @@ Result<Relation> RaSqlContext::ExecuteQuery(const sql::Query& query,
     if (config_.distributed && clique.IsRecursive() &&
         fixpoint::EligibleForDistributed(clique)) {
       fixpoint::DistFixpointOptions dist_options = config_.dist_fixpoint;
-      // The iteration-cap/codegen/join knobs are configured once on the
+      // The iteration-cap/join knobs are configured once on the
       // local options; copy the shared slice so both paths honor them.
       static_cast<fixpoint::CommonFixpointOptions&>(dist_options) =
           config_.fixpoint;
@@ -405,7 +404,6 @@ Result<Relation> RaSqlContext::ExecuteQuery(const sql::Query& query,
   physical::ExecContext ctx;
   for (const auto& [name, rel] : tables_) ctx.tables[name] = &rel;
   for (const auto& [name, rel] : views) ctx.tables[name] = &rel;
-  ctx.use_codegen = config_.fixpoint.use_codegen;
   ctx.batch_rows = config_.runtime.batch_rows;
   ctx.join_algorithm = config_.fixpoint.join_algorithm;
   return physical::Execute(*analyzed.body, ctx);

@@ -25,7 +25,7 @@ namespace rasql::engine {
 /// Engine configuration: every optimization the paper evaluates is a knob
 /// here so the benches can ablate them.
 struct EngineConfig {
-  /// Local fixpoint options (mode, iteration cap, codegen, join algorithm).
+  /// Local fixpoint options (mode, iteration cap, join algorithm).
   fixpoint::FixpointOptions fixpoint;
   plan::OptimizerOptions optimizer;
 

@@ -1,6 +1,7 @@
 #include "expr/expr.h"
 
 #include "common/check.h"
+#include "expr/int64_arith.h"
 
 namespace rasql::expr {
 
@@ -67,13 +68,13 @@ Value EvalArithmetic(BinaryOp op, const Value& a, const Value& b,
     const int64_t y = b.AsInt();
     switch (op) {
       case BinaryOp::kAdd:
-        return Value::Int(x + y);
+        return Value::Int(WrapAdd(x, y));
       case BinaryOp::kSub:
-        return Value::Int(x - y);
+        return Value::Int(WrapSub(x, y));
       case BinaryOp::kMul:
-        return Value::Int(x * y);
+        return Value::Int(WrapMul(x, y));
       case BinaryOp::kDiv:
-        return y == 0 ? Value::Null() : Value::Int(x / y);
+        return y == 0 ? Value::Null() : Value::Int(WrapDiv(x, y));
       default:
         break;
     }
@@ -147,7 +148,7 @@ Value NotExpr::Eval(const storage::Row& row) const {
 Value NegateExpr::Eval(const storage::Row& row) const {
   const Value v = input_->Eval(row);
   if (v.is_null()) return Value::Null();
-  if (v.type() == ValueType::kInt64) return Value::Int(-v.AsInt());
+  if (v.type() == ValueType::kInt64) return Value::Int(WrapNeg(v.AsInt()));
   return Value::Double(-v.AsNumeric());
 }
 

@@ -44,8 +44,8 @@ enum class AggregateFunction {
 const char* AggregateFunctionName(AggregateFunction fn);
 
 /// A bound (column indices resolved, output type known) scalar expression.
-/// Evaluation is the classic interpreted tree walk; see CompiledExpr for the
-/// whole-stage-codegen analogue.
+/// Evaluation is the classic interpreted tree walk, the one scalar
+/// semantics: VecProgram runs the same semantics column-at-a-time.
 class Expr {
  public:
   enum class Kind {

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "expr/compiled_expr.h"
+#include "expr/int64_arith.h"
 
 namespace rasql::expr {
 
@@ -11,13 +11,11 @@ using storage::ColumnChunk;
 using storage::Value;
 using storage::ValueType;
 
-std::optional<VecProgram> VecProgram::Compile(const Expr& expr,
-                                              VecSemantics semantics) {
+std::optional<VecProgram> VecProgram::Compile(const Expr& expr) {
   VecProgram program;
-  program.semantics_ = semantics;
   if (!program.Emit(expr)) return std::nullopt;
   program.output_type_ = expr.output_type();
-  // Postfix stack depth bound, exactly like CompiledExpr::Compile.
+  // Postfix stack depth bound: Execute sizes its slot stack from it.
   int depth = 0;
   int max_depth = 0;
   for (const Instruction& in : program.program_) {
@@ -35,41 +33,14 @@ std::optional<VecProgram> VecProgram::Compile(const Expr& expr,
     }
     if (depth > max_depth) max_depth = depth;
   }
-  // The compiled mirror is accepted exactly when CompiledExpr::Compile
-  // accepts, depth cap included, so batch mode picks the row path's engine.
-  if (semantics == VecSemantics::kCompiledMirror &&
-      max_depth > CompiledExpr::kMaxStack) {
-    return std::nullopt;
-  }
   program.max_stack_ = max_depth;
   return program;
 }
 
-std::optional<VecProgram> VecProgram::CompileForFilter(const Expr& expr,
-                                                       bool use_codegen) {
-  // Mirror PredicateEvaluator's engine choice: with codegen on, the row
-  // path runs the compiled double program whenever CompiledExpr accepts the
-  // expression (the compiled-mirror acceptance below is identical), and
-  // interprets otherwise; with codegen off it always interprets.
-  if (use_codegen) {
-    std::optional<VecProgram> compiled =
-        Compile(expr, VecSemantics::kCompiledMirror);
-    if (compiled) return compiled;
-  }
-  return Compile(expr, VecSemantics::kInterpreterMirror);
-}
-
 bool VecProgram::Emit(const Expr& expr) {
-  const bool compiled = semantics_ == VecSemantics::kCompiledMirror;
   switch (expr.kind()) {
     case Expr::Kind::kColumnRef: {
       const auto& ref = static_cast<const ColumnRefExpr&>(expr);
-      // Compiled-mirror acceptance must match CompiledExpr::Emit exactly so
-      // the engine choice (CompileForFilter) is the row path's.
-      if (compiled && ref.output_type() != ValueType::kInt64 &&
-          ref.output_type() != ValueType::kDouble) {
-        return false;
-      }
       Instruction in;
       in.op = OpCode::kLoadColumn;
       in.column = ref.index();
@@ -79,10 +50,6 @@ bool VecProgram::Emit(const Expr& expr) {
     }
     case Expr::Kind::kLiteral: {
       const auto& lit = static_cast<const LiteralExpr&>(expr);
-      if (compiled && lit.value().type() != ValueType::kInt64 &&
-          lit.value().type() != ValueType::kDouble) {
-        return false;
-      }
       Instruction in;
       in.op = OpCode::kLoadConst;
       in.constant = lit.value();
@@ -137,8 +104,7 @@ bool VecProgram::Emit(const Expr& expr) {
       // Interpreter arithmetic dispatches int64-vs-double lanes on the
       // node's static type; a non-numeric static type means the analyzer
       // never produced this shape — leave it to the row path.
-      if (!compiled &&
-          (op == OpCode::kAdd || op == OpCode::kSub || op == OpCode::kMul ||
+      if ((op == OpCode::kAdd || op == OpCode::kSub || op == OpCode::kMul ||
            op == OpCode::kDiv) &&
           expr.output_type() != ValueType::kInt64 &&
           expr.output_type() != ValueType::kDouble) {
@@ -162,7 +128,7 @@ bool VecProgram::Emit(const Expr& expr) {
     case Expr::Kind::kNegate: {
       const auto& un = static_cast<const NegateExpr&>(expr);
       if (!Emit(un.input())) return false;
-      if (!compiled && expr.output_type() == ValueType::kString) return false;
+      if (expr.output_type() == ValueType::kString) return false;
       Instruction in;
       in.op = OpCode::kNeg;
       in.node_type = expr.output_type();
@@ -175,30 +141,8 @@ bool VecProgram::Emit(const Expr& expr) {
 
 namespace {
 
+using OpCode = VecProgram::OpCode;
 using Slot = VecProgram::Slot;
-
-// ---------------------------------------------------------------------------
-// SIMD primitives (gcc vector extensions). The dense kernels sweep 4 doubles
-// per step; comparisons produce lane masks converted to 0.0/1.0 — the same
-// values CompiledExpr's scalar program computes.
-// ---------------------------------------------------------------------------
-
-typedef double Vd4 __attribute__((vector_size(32)));
-typedef long long Vi4 __attribute__((vector_size(32)));
-
-// The vector types only cross the boundaries of these anonymous-namespace
-// inline helpers, never a translation unit, so the psABI calling-convention
-// caveat for 32-byte values without AVX enabled does not apply.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-
-inline Vd4 LoadVd4(const double* p) {
-  Vd4 v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void StoreVd4(double* p, Vd4 v) { __builtin_memcpy(p, &v, sizeof(v)); }
 
 inline void ResetPointers(Slot* s) {
   s->dict = nullptr;
@@ -289,134 +233,25 @@ void CopyNulls(const Slot& a, Slot* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-mirror kernels: every slot is a dense double column, no null
-// masks (null and string cells load as 0.0 exactly like the row program's
-// union read), eager AND/OR, double comparisons.
-// ---------------------------------------------------------------------------
-
-#define RASQL_VEC_ARITH_CASE(OPNAME, OPER)                               \
-  case VecOpCode::OPNAME: {                                              \
-    size_t k = 0;                                                        \
-    for (; k + 4 <= n; k += 4) {                                         \
-      StoreVd4(o + k, LoadVd4(x + k) OPER LoadVd4(y + k));               \
-    }                                                                    \
-    for (; k < n; ++k) o[k] = x[k] OPER y[k];                            \
-    break;                                                               \
-  }
-
-#define RASQL_VEC_CMP_CASE(OPNAME, OPER)                                 \
-  case VecOpCode::OPNAME: {                                              \
-    size_t k = 0;                                                        \
-    for (; k + 4 <= n; k += 4) {                                         \
-      const Vi4 m = LoadVd4(x + k) OPER LoadVd4(y + k);                  \
-      StoreVd4(o + k, __builtin_convertvector(m & 1, Vd4));              \
-    }                                                                    \
-    for (; k < n; ++k) o[k] = x[k] OPER y[k] ? 1.0 : 0.0;                \
-    break;                                                               \
-  }
-
-// Local mirror of VecProgram's private opcode values, so the internal
-// kernels can stay free functions; the orderings are identical and the
-// member dispatch casts between them.
-enum class VecOpCode : uint8_t {
-  kLoadColumn,
-  kLoadConst,
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  kEq,
-  kNe,
-  kLt,
-  kLe,
-  kGt,
-  kGe,
-  kAnd,
-  kOr,
-  kNot,
-  kNeg,
-};
-
-void CompiledBinary(VecOpCode op, const Slot& a, const Slot& b, size_t n,
-                    Slot* out) {
-  ResetF64(out, n);
-  const double* x = a.f64.data();
-  const double* y = b.f64.data();
-  double* o = out->f64.data();
-  switch (op) {
-    RASQL_VEC_ARITH_CASE(kAdd, +)
-    RASQL_VEC_ARITH_CASE(kSub, -)
-    RASQL_VEC_ARITH_CASE(kMul, *)
-    RASQL_VEC_ARITH_CASE(kDiv, /)
-    RASQL_VEC_CMP_CASE(kEq, ==)
-    RASQL_VEC_CMP_CASE(kNe, !=)
-    RASQL_VEC_CMP_CASE(kLt, <)
-    RASQL_VEC_CMP_CASE(kLe, <=)
-    RASQL_VEC_CMP_CASE(kGt, >)
-    RASQL_VEC_CMP_CASE(kGe, >=)
-    case VecOpCode::kAnd: {
-      size_t k = 0;
-      for (; k + 4 <= n; k += 4) {
-        const Vi4 m = (LoadVd4(x + k) != 0.0) & (LoadVd4(y + k) != 0.0);
-        StoreVd4(o + k, __builtin_convertvector(m & 1, Vd4));
-      }
-      for (; k < n; ++k) o[k] = (x[k] != 0.0 && y[k] != 0.0) ? 1.0 : 0.0;
-      break;
-    }
-    case VecOpCode::kOr: {
-      size_t k = 0;
-      for (; k + 4 <= n; k += 4) {
-        const Vi4 m = (LoadVd4(x + k) != 0.0) | (LoadVd4(y + k) != 0.0);
-        StoreVd4(o + k, __builtin_convertvector(m & 1, Vd4));
-      }
-      for (; k < n; ++k) o[k] = (x[k] != 0.0 || y[k] != 0.0) ? 1.0 : 0.0;
-      break;
-    }
-    default:
-      break;  // unary ops never reach the binary kernel
-  }
-}
-
-#undef RASQL_VEC_ARITH_CASE
-#undef RASQL_VEC_CMP_CASE
-
-void CompiledNot(Slot* s, size_t n) {
-  double* o = s->f64.data();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const Vi4 m = LoadVd4(o + k) == 0.0;
-    StoreVd4(o + k, __builtin_convertvector(m & 1, Vd4));
-  }
-  for (; k < n; ++k) o[k] = o[k] == 0.0 ? 1.0 : 0.0;
-}
-
-void CompiledNeg(Slot* s, size_t n) {
-  double* o = s->f64.data();
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) StoreVd4(o + k, -LoadVd4(o + k));
-  for (; k < n; ++k) o[k] = -o[k];
-}
-
-// ---------------------------------------------------------------------------
-// Interpreter-mirror kernels: typed lanes, SQL null propagation, exact
-// int64 comparisons, dictionary-aware string equality. Any shape the lanes
+// Kernels: typed lanes, SQL null propagation, exact int64 arithmetic and
+// comparisons, dictionary-aware string equality. Any shape the lanes
 // cannot mirror exactly (boxed columns, dynamic tag drift from the static
 // types) returns false and the caller interprets the chunk row by row.
 // ---------------------------------------------------------------------------
 
 /// Applies a three-way comparison result exactly like BinaryExpr::Eval's
 /// Compare dispatch (NaN operands yield c == 0, so Eq/Le/Ge hold).
-inline int64_t ApplyCmp(VecOpCode op, int c) {
+inline int64_t ApplyCmp(OpCode op, int c) {
   switch (op) {
-    case VecOpCode::kEq:
+    case OpCode::kEq:
       return c == 0 ? 1 : 0;
-    case VecOpCode::kNe:
+    case OpCode::kNe:
       return c != 0 ? 1 : 0;
-    case VecOpCode::kLt:
+    case OpCode::kLt:
       return c < 0 ? 1 : 0;
-    case VecOpCode::kLe:
+    case OpCode::kLe:
       return c <= 0 ? 1 : 0;
-    case VecOpCode::kGt:
+    case OpCode::kGt:
       return c > 0 ? 1 : 0;
     default:
       return c >= 0 ? 1 : 0;  // kGe
@@ -428,7 +263,7 @@ inline const std::string& LaneString(const Slot& s, size_t i) {
   return s.literal != nullptr ? *s.literal : (*s.dict)[s.codes[i]];
 }
 
-bool InterpCompareStrings(VecOpCode op, const ColumnChunk& chunk,
+bool InterpCompareStrings(OpCode op, const ColumnChunk& chunk,
                           const Slot& a, const Slot& b, size_t n, Slot* out) {
   ResetInt(out, n);
   int64_t* o = out->i64.data();
@@ -441,7 +276,7 @@ bool InterpCompareStrings(VecOpCode op, const ColumnChunk& chunk,
     any = true;
   };
 
-  const bool equality = op == VecOpCode::kEq || op == VecOpCode::kNe;
+  const bool equality = op == OpCode::kEq || op == OpCode::kNe;
   const Slot* col = nullptr;
   const Slot* lit = nullptr;
   if (a.literal != nullptr && b.literal == nullptr) {
@@ -460,7 +295,7 @@ bool InterpCompareStrings(VecOpCode op, const ColumnChunk& chunk,
     const int32_t code = chunk.FindDictCode(
         static_cast<size_t>(col->src_col), *lit->literal);
     const int32_t* codes = col->codes.data();
-    const bool want_eq = op == VecOpCode::kEq;
+    const bool want_eq = op == OpCode::kEq;
     for (size_t i = 0; i < n; ++i) {
       if (has_nulls && (LaneNull(a, i) || LaneNull(b, i))) {
         mark_null(i);
@@ -474,7 +309,7 @@ bool InterpCompareStrings(VecOpCode op, const ColumnChunk& chunk,
   if (equality && a.literal == nullptr && b.literal == nullptr &&
       a.dict == b.dict) {
     // Same column on both sides: codes are directly comparable.
-    const bool want_eq = op == VecOpCode::kEq;
+    const bool want_eq = op == OpCode::kEq;
     for (size_t i = 0; i < n; ++i) {
       if (has_nulls && (LaneNull(a, i) || LaneNull(b, i))) {
         mark_null(i);
@@ -500,15 +335,15 @@ bool InterpCompareStrings(VecOpCode op, const ColumnChunk& chunk,
   return true;
 }
 
-bool InterpBinary(VecOpCode op, ValueType node_type, const ColumnChunk& chunk,
+bool InterpBinary(OpCode op, ValueType node_type, const ColumnChunk& chunk,
                   const Slot& a, const Slot& b, size_t n, Slot* out) {
   // Boolean connectives first: eager truthiness over already-evaluated
   // operand slots equals the interpreter's short-circuit result because
   // expressions are side-effect free; the result is never NULL.
-  if (op == VecOpCode::kAnd || op == VecOpCode::kOr) {
+  if (op == OpCode::kAnd || op == OpCode::kOr) {
     ResetInt(out, n);
     int64_t* o = out->i64.data();
-    if (op == VecOpCode::kAnd) {
+    if (op == OpCode::kAnd) {
       for (size_t i = 0; i < n; ++i) {
         o[i] = SlotTruthy(a, i) && SlotTruthy(b, i) ? 1 : 0;
       }
@@ -531,10 +366,10 @@ bool InterpBinary(VecOpCode op, ValueType node_type, const ColumnChunk& chunk,
       b.tag == ValueType::kInt64 || b.tag == ValueType::kDouble;
 
   switch (op) {
-    case VecOpCode::kAdd:
-    case VecOpCode::kSub:
-    case VecOpCode::kMul:
-    case VecOpCode::kDiv: {
+    case OpCode::kAdd:
+    case OpCode::kSub:
+    case OpCode::kMul:
+    case OpCode::kDiv: {
       if (!a_num || !b_num) return false;  // dynamic drift into strings
       if (node_type == ValueType::kInt64) {
         // EvalArithmetic's int64 lane; a double slot here means the chunk's
@@ -546,8 +381,8 @@ bool InterpBinary(VecOpCode op, ValueType node_type, const ColumnChunk& chunk,
         const int64_t* x = a.i64.data();
         const int64_t* y = b.i64.data();
         int64_t* o = out->i64.data();
-        if (op == VecOpCode::kDiv) {
-          // y == 0 yields NULL (SQL), which also guards the hardware trap.
+        if (op == OpCode::kDiv) {
+          // y == 0 yields NULL (SQL); WrapDiv defines INT64_MIN / -1.
           out->nulls.assign(n, 0);
           bool any = false;
           for (size_t i = 0; i < n; ++i) {
@@ -556,7 +391,7 @@ bool InterpBinary(VecOpCode op, ValueType node_type, const ColumnChunk& chunk,
               out->nulls[i] = 1;
               any = true;
             } else {
-              o[i] = x[i] / y[i];
+              o[i] = WrapDiv(x[i], y[i]);
             }
           }
           out->any_null = any;
@@ -564,14 +399,14 @@ bool InterpBinary(VecOpCode op, ValueType node_type, const ColumnChunk& chunk,
           return true;
         }
         switch (op) {
-          case VecOpCode::kAdd:
-            for (size_t i = 0; i < n; ++i) o[i] = x[i] + y[i];
+          case OpCode::kAdd:
+            for (size_t i = 0; i < n; ++i) o[i] = WrapAdd(x[i], y[i]);
             break;
-          case VecOpCode::kSub:
-            for (size_t i = 0; i < n; ++i) o[i] = x[i] - y[i];
+          case OpCode::kSub:
+            for (size_t i = 0; i < n; ++i) o[i] = WrapSub(x[i], y[i]);
             break;
           default:
-            for (size_t i = 0; i < n; ++i) o[i] = x[i] * y[i];
+            for (size_t i = 0; i < n; ++i) o[i] = WrapMul(x[i], y[i]);
             break;
         }
         CombineNulls(a, b, n, out);
@@ -580,13 +415,13 @@ bool InterpBinary(VecOpCode op, ValueType node_type, const ColumnChunk& chunk,
       ResetF64(out, n);
       double* o = out->f64.data();
       switch (op) {
-        case VecOpCode::kAdd:
+        case OpCode::kAdd:
           for (size_t i = 0; i < n; ++i) o[i] = SlotNum(a, i) + SlotNum(b, i);
           break;
-        case VecOpCode::kSub:
+        case OpCode::kSub:
           for (size_t i = 0; i < n; ++i) o[i] = SlotNum(a, i) - SlotNum(b, i);
           break;
-        case VecOpCode::kMul:
+        case OpCode::kMul:
           for (size_t i = 0; i < n; ++i) o[i] = SlotNum(a, i) * SlotNum(b, i);
           break;
         default:
@@ -596,12 +431,12 @@ bool InterpBinary(VecOpCode op, ValueType node_type, const ColumnChunk& chunk,
       CombineNulls(a, b, n, out);
       return true;
     }
-    case VecOpCode::kEq:
-    case VecOpCode::kNe:
-    case VecOpCode::kLt:
-    case VecOpCode::kLe:
-    case VecOpCode::kGt:
-    case VecOpCode::kGe: {
+    case OpCode::kEq:
+    case OpCode::kNe:
+    case OpCode::kLt:
+    case OpCode::kLe:
+    case OpCode::kGt:
+    case OpCode::kGe: {
       if (a_num && b_num) {
         ResetInt(out, n);
         int64_t* o = out->i64.data();
@@ -646,7 +481,7 @@ bool InterpNeg(const Slot& a, size_t n, Slot* out) {
       ResetInt(out, n);
       const int64_t* x = a.i64.data();
       int64_t* o = out->i64.data();
-      for (size_t i = 0; i < n; ++i) o[i] = -x[i];
+      for (size_t i = 0; i < n; ++i) o[i] = WrapNeg(x[i]);
       CopyNulls(a, out);
       return true;
     }
@@ -669,59 +504,10 @@ bool InterpNeg(const Slot& a, size_t n, Slot* out) {
   }
 }
 
-#pragma GCC diagnostic pop
-
 }  // namespace
 
-void VecProgram::LoadColumnCompiled(const ColumnChunk& chunk,
-                                    const uint32_t* sel, size_t n, int col,
-                                    Slot* out) const {
-  ResetF64(out, n);
-  double* o = out->f64.data();
-  const ColumnChunk::ColumnData& cd = chunk.column(static_cast<size_t>(col));
-  if (cd.variant) {
-    // Boxed column: branch per value exactly like OpCode::kLoadColumn does
-    // on the materialized row (a non-numeric cell's union payload is 0.0).
-    for (size_t i = 0; i < n; ++i) {
-      const Value& v = cd.boxed[sel[i]];
-      switch (v.type()) {
-        case ValueType::kInt64:
-          o[i] = static_cast<double>(v.AsInt());
-          break;
-        case ValueType::kDouble:
-          o[i] = v.AsDouble();
-          break;
-        default:
-          o[i] = 0.0;
-          break;
-      }
-    }
-    return;
-  }
-  switch (cd.tag) {
-    case ValueType::kInt64: {
-      // Null placeholders in the typed array are 0 — the same 0.0 the row
-      // program reads out of a null Value's union, so no mask is needed.
-      const int64_t* data = cd.i64.data();
-      for (size_t i = 0; i < n; ++i) o[i] = static_cast<double>(data[sel[i]]);
-      return;
-    }
-    case ValueType::kDouble: {
-      const double* data = cd.f64.data();
-      for (size_t i = 0; i < n; ++i) o[i] = data[sel[i]];
-      return;
-    }
-    default:
-      // String and all-null columns load as 0.0 (union payload of a string
-      // or null Value), mirroring the row program bit for bit.
-      for (size_t i = 0; i < n; ++i) o[i] = 0.0;
-      return;
-  }
-}
-
-bool VecProgram::LoadColumnInterp(const ColumnChunk& chunk,
-                                  const uint32_t* sel, size_t n, int col,
-                                  Slot* out) const {
+bool VecProgram::LoadColumn(const ColumnChunk& chunk, const uint32_t* sel,
+                            size_t n, int col, Slot* out) const {
   const ColumnChunk::ColumnData& cd = chunk.column(static_cast<size_t>(col));
   if (cd.variant) return false;  // mixed types: row-at-a-time territory
   switch (cd.tag) {
@@ -765,28 +551,16 @@ bool VecProgram::Execute(const ColumnChunk& chunk, const uint32_t* sel,
   if (stack.size() < static_cast<size_t>(max_stack_)) {
     stack.resize(static_cast<size_t>(max_stack_));
   }
-  const bool compiled = semantics_ == VecSemantics::kCompiledMirror;
   int sp = 0;
   for (const Instruction& in : program_) {
-    const VecOpCode op = static_cast<VecOpCode>(in.op);
-    switch (op) {
-      case VecOpCode::kLoadColumn:
-        if (compiled) {
-          LoadColumnCompiled(chunk, sel, n, in.column, &stack[sp]);
-        } else if (!LoadColumnInterp(chunk, sel, n, in.column, &stack[sp])) {
-          return false;
-        }
+    switch (in.op) {
+      case OpCode::kLoadColumn:
+        if (!LoadColumn(chunk, sel, n, in.column, &stack[sp])) return false;
         ++sp;
         break;
-      case VecOpCode::kLoadConst: {
+      case OpCode::kLoadConst: {
         Slot& s = stack[sp];
         ++sp;
-        if (compiled) {
-          ResetF64(&s, n);
-          const double c = in.constant.AsNumeric();
-          for (size_t i = 0; i < n; ++i) s.f64[i] = c;
-          break;
-        }
         switch (in.constant.type()) {
           case ValueType::kNull:
             ResetNull(&s);
@@ -811,30 +585,20 @@ bool VecProgram::Execute(const ColumnChunk& chunk, const uint32_t* sel,
         }
         break;
       }
-      case VecOpCode::kNot:
-        if (compiled) {
-          CompiledNot(&stack[sp - 1], n);
-        } else {
-          InterpNot(stack[sp - 1], n, &scratch->tmp);
-          std::swap(stack[sp - 1], scratch->tmp);
-        }
+      case OpCode::kNot:
+        InterpNot(stack[sp - 1], n, &scratch->tmp);
+        std::swap(stack[sp - 1], scratch->tmp);
         break;
-      case VecOpCode::kNeg:
-        if (compiled) {
-          CompiledNeg(&stack[sp - 1], n);
-        } else {
-          if (!InterpNeg(stack[sp - 1], n, &scratch->tmp)) return false;
-          std::swap(stack[sp - 1], scratch->tmp);
-        }
+      case OpCode::kNeg:
+        if (!InterpNeg(stack[sp - 1], n, &scratch->tmp)) return false;
+        std::swap(stack[sp - 1], scratch->tmp);
         break;
       default: {
         Slot& a = stack[sp - 2];
         Slot& b = stack[sp - 1];
         --sp;
-        if (compiled) {
-          CompiledBinary(op, a, b, n, &scratch->tmp);
-        } else if (!InterpBinary(op, in.node_type, chunk, a, b, n,
-                                 &scratch->tmp)) {
+        if (!InterpBinary(in.op, in.node_type, chunk, a, b, n,
+                          &scratch->tmp)) {
           return false;
         }
         std::swap(a, scratch->tmp);
@@ -855,15 +619,8 @@ bool VecProgram::FilterChunk(const ColumnChunk& chunk,
   const Slot& root = scratch->stack[0];
   uint32_t* s = sel->data();
   size_t kept = 0;
-  if (semantics_ == VecSemantics::kCompiledMirror) {
-    const double* o = root.f64.data();
-    for (size_t i = 0; i < n; ++i) {
-      if (o[i] != 0.0) s[kept++] = s[i];
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (SlotTruthy(root, i)) s[kept++] = s[i];
-    }
+  for (size_t i = 0; i < n; ++i) {
+    if (SlotTruthy(root, i)) s[kept++] = s[i];
   }
   sel->resize(kept);
   return true;
@@ -874,22 +631,6 @@ bool VecProgram::EvalChunk(const ColumnChunk& chunk, const uint32_t* sel,
   if (!Execute(chunk, sel, n, scratch)) return false;
   Slot& root = scratch->stack[0];
   out->size = n;
-  if (semantics_ == VecSemantics::kCompiledMirror) {
-    out->nulls.clear();
-    out->any_null = false;
-    if (output_type_ == ValueType::kInt64) {
-      // Mirror CompiledExpr::EvalValue's double -> int64 narrowing.
-      out->tag = ValueType::kInt64;
-      out->i64.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        out->i64[i] = static_cast<int64_t>(root.f64[i]);
-      }
-    } else {
-      out->tag = ValueType::kDouble;
-      out->f64.swap(root.f64);
-    }
-    return true;
-  }
   switch (root.tag) {
     case ValueType::kNull:
       out->tag = ValueType::kNull;

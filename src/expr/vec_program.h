@@ -12,23 +12,6 @@
 
 namespace rasql::expr {
 
-/// Which row-at-a-time engine a VecProgram must agree with bit for bit.
-/// Batch mode never changes results — it only changes the engine — so every
-/// kernel mirrors whichever scalar evaluator the row path would have used
-/// under the same ExecContext (DESIGN.md §15).
-enum class VecSemantics : uint8_t {
-  /// Mirrors CompiledExpr::EvalNumeric: every operand lives in double,
-  /// null/string cells load as 0.0, AND/OR are eager, comparisons compare
-  /// doubles. Selected when the row path would run the compiled program
-  /// (use_codegen and the expression is CompiledExpr-compilable).
-  kCompiledMirror,
-  /// Mirrors the interpreted Expr::Eval tree: exact int64 arithmetic and
-  /// comparisons, SQL null propagation, dictionary-aware string equality.
-  /// Selected when the row path would interpret (codegen off, or the
-  /// expression uses strings/nulls CompiledExpr rejects).
-  kInterpreterMirror,
-};
-
 /// One evaluated expression over a chunk batch: a typed output column plus
 /// a null mask, parallel to the selection vector it was evaluated under.
 struct VecBatch {
@@ -49,30 +32,24 @@ struct VecBatch {
   }
 };
 
-/// The vectorized compilation layer: the same postfix programs CompiledExpr
-/// emits, executed column-at-a-time over ColumnChunk batches through a
-/// selection vector (paper Sec. 7.3's whole-stage codegen, turned sideways).
+/// The vectorized expression layer: an Expr tree flattened to a postfix
+/// program and executed column-at-a-time over ColumnChunk batches through a
+/// selection vector (paper Sec. 7.3's whole-stage codegen, turned
+/// sideways). Its kernels run Expr::Eval's semantics lane by lane — exact
+/// int64 arithmetic and comparisons, SQL null propagation, dictionary-aware
+/// string equality (DESIGN.md §15) — so batch mode never changes a result.
 /// Operand slots are dense gathered arrays, so the per-instruction loops are
-/// tight contiguous sweeps (gcc vector extensions on the clean double
-/// kernels); a chunk whose layout a kernel cannot mirror exactly (boxed
-/// variant columns, dynamic tag drift from the static types) makes execution
-/// return false and the caller falls back to the interpreted tree for that
-/// chunk — same rows, different engine.
+/// contiguous sweeps. A chunk whose layout the kernels cannot mirror exactly
+/// (boxed variant columns, dynamic tag drift from the static types) makes
+/// execution return false, and the caller interprets that chunk row by row
+/// instead — same rows either way.
 class VecProgram {
  public:
-  /// Compiles `expr` for the given semantics; nullopt when the expression
-  /// shape is outside what the kernels can mirror (the caller then keeps
-  /// the row evaluator for every chunk).
-  static std::optional<VecProgram> Compile(const Expr& expr,
-                                           VecSemantics semantics);
+  /// Compiles `expr`; nullopt when the expression shape is outside what
+  /// the kernels can mirror (the caller then keeps the row evaluator for
+  /// every chunk).
+  static std::optional<VecProgram> Compile(const Expr& expr);
 
-  /// Picks the semantics the row path would use under `use_codegen` and
-  /// compiles for it: compiled-mirror when codegen is on and CompiledExpr
-  /// accepts the expression, interpreter-mirror otherwise.
-  static std::optional<VecProgram> CompileForFilter(const Expr& expr,
-                                                    bool use_codegen);
-
-  VecSemantics semantics() const { return semantics_; }
   storage::ValueType output_type() const { return output_type_; }
   size_t program_size() const { return program_.size(); }
 
@@ -105,13 +82,14 @@ class VecProgram {
 
   /// Evaluates the program over `chunk` rows `sel[0..n)` into `*out`
   /// (typed column + null mask, parallel to `sel`). Returns false when
-  /// this chunk needs the row fallback; `*out` is then unspecified.
+  /// this chunk needs the row fallback, or when the expression is
+  /// string-valued (string results stay on the row path); `*out` is then
+  /// unspecified.
   bool EvalChunk(const storage::ColumnChunk& chunk, const uint32_t* sel,
                  size_t n, Scratch* scratch, VecBatch* out) const;
 
- private:
-  /// Superset of CompiledExpr::OpCode: the same postfix shape, plus typed
-  /// interpreter-mirror execution driven by per-instruction static types.
+  /// Postfix opcodes, one per Expr node kind and binary operator. Public
+  /// only so the kernels in vec_program.cc can be free functions.
   enum class OpCode : uint8_t {
     kLoadColumn,
     kLoadConst,
@@ -131,6 +109,7 @@ class VecProgram {
     kNeg,
   };
 
+ private:
   struct Instruction {
     OpCode op;
     int column = 0;              ///< kLoadColumn
@@ -148,15 +127,10 @@ class VecProgram {
   bool Execute(const storage::ColumnChunk& chunk, const uint32_t* sel,
                size_t n, Scratch* scratch) const;
 
-  void LoadColumnCompiled(const storage::ColumnChunk& chunk,
-                          const uint32_t* sel, size_t n, int col,
-                          Slot* out) const;
-  bool LoadColumnInterp(const storage::ColumnChunk& chunk,
-                        const uint32_t* sel, size_t n, int col,
-                        Slot* out) const;
+  bool LoadColumn(const storage::ColumnChunk& chunk, const uint32_t* sel,
+                  size_t n, int col, Slot* out) const;
 
   std::vector<Instruction> program_;
-  VecSemantics semantics_ = VecSemantics::kCompiledMirror;
   storage::ValueType output_type_ = storage::ValueType::kDouble;
   int max_stack_ = 0;
 };

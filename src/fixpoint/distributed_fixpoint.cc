@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -174,12 +175,8 @@ class StepEvaluator {
     sorted_cache_.resize(num_partitions);
     base_rows_cache_.resize(num_partitions);
     if (shape_.simple) {
-      projector_ = std::make_unique<physical::ProjectionEvaluator>(
-          shape_.project->exprs(), options_.use_codegen);
-      if (shape_.filter != nullptr) {
-        predicate_ = std::make_unique<physical::PredicateEvaluator>(
-            shape_.filter->predicate(), options_.use_codegen);
-      }
+      projector_.emplace(shape_.project->exprs());
+      if (shape_.filter != nullptr) predicate_ = &shape_.filter->predicate();
     }
   }
 
@@ -268,7 +265,10 @@ class StepEvaluator {
       for (int m : matches) {
         base->CopyRowTo(static_cast<size_t>(m), &combined,
                         static_cast<size_t>(base_at));
-        if (predicate_ != nullptr && !predicate_->Eval(combined)) continue;
+        if (predicate_ != nullptr &&
+            !expr::IsTruthy(predicate_->Eval(combined))) {
+          continue;
+        }
         projector_->EvalInto(combined, &projected);
         out->AppendRow(projected);
       }
@@ -346,7 +346,8 @@ class StepEvaluator {
           for (size_t bb = j; bb < j_end; ++bb) {
             const Row& br = base_rows[order[bb]];
             std::copy(br.begin(), br.end(), combined.begin() + base_at);
-            if (predicate_ != nullptr && !predicate_->Eval(combined)) {
+            if (predicate_ != nullptr &&
+                !expr::IsTruthy(predicate_->Eval(combined))) {
               continue;
             }
             projector_->EvalInto(combined, &projected);
@@ -363,7 +364,6 @@ class StepEvaluator {
   Status EvalGeneric(const Relation& delta, int partition,
                      const BaseBinding& base_binding, Relation* out) {
     physical::ExecContext ctx;
-    ctx.use_codegen = options_.use_codegen;
     ctx.batch_rows = batch_rows_;
     ctx.join_algorithm = options_.join_algorithm;
     for (const auto& [name, rel] : *tables_) {
@@ -391,8 +391,8 @@ class StepEvaluator {
   const std::map<std::string, const Relation*>* tables_;
   DistFixpointOptions options_;
   size_t batch_rows_ = 0;
-  std::unique_ptr<physical::ProjectionEvaluator> projector_;
-  std::unique_ptr<physical::PredicateEvaluator> predicate_;
+  std::optional<physical::ProjectionEvaluator> projector_;
+  const expr::Expr* predicate_ = nullptr;
   std::vector<std::unique_ptr<physical::JoinHashTable>> hash_cache_;
   std::vector<std::unique_ptr<std::once_flag>> hash_once_;
   std::vector<std::vector<size_t>> sorted_cache_;
@@ -651,7 +651,6 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   // ---- Base case: evaluate on the driver, then scatter by K. ----
   physical::ExecContext base_ctx;
   base_ctx.tables = tables;
-  base_ctx.use_codegen = options.use_codegen;
   base_ctx.batch_rows = cluster->runtime_options().batch_rows;
   base_ctx.join_algorithm = options.join_algorithm;
   // A warm start (DESIGN.md §14) replaces the base case with the seed

@@ -14,7 +14,7 @@
 namespace rasql::fixpoint {
 
 /// Options of the distributed semi-naive evaluator (paper Sec. 6 & 7).
-/// The shared knobs (iteration cap, codegen, join algorithm) live in
+/// The shared knobs (iteration cap, join algorithm) live in
 /// CommonFixpointOptions; RaSqlContext copies that slice from the local
 /// FixpointOptions so the two paths cannot drift.
 struct DistFixpointOptions : CommonFixpointOptions {

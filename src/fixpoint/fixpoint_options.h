@@ -54,7 +54,6 @@ struct CommonFixpointOptions {
   /// Safety valve for non-terminating recursions (the paper's
   /// stratified-SSSP on cyclic graphs, Fig. 1 footnote).
   int64_t max_iterations = 1'000'000;
-  bool use_codegen = true;
   physical::JoinAlgorithm join_algorithm = physical::JoinAlgorithm::kHash;
 
   /// Non-null = warm-start this evaluation from a prior converged state

@@ -76,7 +76,6 @@ ExecContext BaseContext(const std::map<std::string, const Relation*>& tables,
                         const FixpointOptions& options) {
   ExecContext ctx;
   ctx.tables = tables;
-  ctx.use_codegen = options.use_codegen;
   ctx.batch_rows = options.runtime.batch_rows;
   ctx.join_algorithm = options.join_algorithm;
   return ctx;
@@ -100,9 +99,8 @@ CompiledPlan CompilePlan(const LogicalPlan& plan,
                          const FixpointOptions& options) {
   CompiledPlan out;
   out.plan = &plan;
-  // Pipelines are used regardless of use_codegen — the bound evaluators
-  // honor the flag, so rows and order match the interpreted oracle either
-  // way (executor_test pins this).
+  // A pipeline's rows and order match the interpreted tree walk
+  // (executor_test pins this).
   out.program = physical::PipelineProgram::Compile(plan);
   if (out.program.has_value() && out.program->has_probe_steps() &&
       options.join_algorithm != physical::JoinAlgorithm::kHash) {

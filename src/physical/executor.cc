@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "expr/compiled_expr.h"
 #include "expr/vec_program.h"
 #include "physical/pipeline.h"
 
@@ -79,23 +78,6 @@ void JoinHashTable::ProbeAt(const Relation& probe, size_t row,
   ProbeChunk(acc.chunk(), acc.chunk_row(), probe_keys, out);
 }
 
-ProjectionEvaluator::ProjectionEvaluator(
-    const std::vector<expr::ExprPtr>& exprs, bool use_codegen) {
-  exprs_.reserve(exprs.size());
-  for (const expr::ExprPtr& e : exprs) {
-    Entry entry;
-    entry.expr = e.get();
-    // Compile only genuinely computational expressions: a bare column
-    // reference or literal is already a single copy, and routing it
-    // through the numeric program would only add conversions.
-    if (use_codegen && e->kind() != expr::Expr::Kind::kColumnRef &&
-        e->kind() != expr::Expr::Kind::kLiteral) {
-      entry.compiled = expr::CompiledExpr::Compile(*e);
-    }
-    exprs_.push_back(std::move(entry));
-  }
-}
-
 Row ProjectionEvaluator::Eval(const Row& input) const {
   Row out;
   EvalInto(input, &out);
@@ -103,23 +85,18 @@ Row ProjectionEvaluator::Eval(const Row& input) const {
 }
 
 void ProjectionEvaluator::EvalInto(const Row& input, Row* out) const {
-  out->resize(exprs_.size());
-  for (size_t i = 0; i < exprs_.size(); ++i) {
-    const Entry& entry = exprs_[i];
-    (*out)[i] = entry.compiled ? entry.compiled->EvalValue(input)
-                               : entry.expr->Eval(input);
+  out->resize(exprs_->size());
+  for (size_t i = 0; i < exprs_->size(); ++i) {
+    (*out)[i] = (*exprs_)[i]->Eval(input);
   }
-}
-
-PredicateEvaluator::PredicateEvaluator(const expr::Expr& predicate,
-                                       bool use_codegen)
-    : expr_(&predicate) {
-  if (use_codegen) compiled_ = expr::CompiledExpr::Compile(predicate);
 }
 
 namespace {
 
-Result<BorrowedRelation> Exec(const LogicalPlan& node, const ExecContext& ctx);
+/// The executor's recursion: `fuse` runs filter/probe/project chains as
+/// pipelines (Execute); false is the unfused tree walk (ExecuteInterpreted).
+Result<BorrowedRelation> Exec(const LogicalPlan& node, const ExecContext& ctx,
+                              bool fuse);
 
 BorrowedRelation Own(Relation rel) {
   BorrowedRelation r;
@@ -166,9 +143,11 @@ Result<BorrowedRelation> ExecRecursiveRef(const plan::RecursiveRefNode& node,
 }
 
 Result<BorrowedRelation> ExecJoinGeneric(const plan::JoinNode& node,
-                                   const ExecContext& ctx) {
-  RASQL_ASSIGN_OR_RETURN(BorrowedRelation left, Exec(node.child(0), ctx));
-  RASQL_ASSIGN_OR_RETURN(BorrowedRelation right, Exec(node.child(1), ctx));
+                                         const ExecContext& ctx, bool fuse) {
+  RASQL_ASSIGN_OR_RETURN(BorrowedRelation left,
+                         Exec(node.child(0), ctx, fuse));
+  RASQL_ASSIGN_OR_RETURN(BorrowedRelation right,
+                         Exec(node.child(1), ctx, fuse));
 
   Relation out(node.schema());
   if (node.is_cross()) {
@@ -262,25 +241,27 @@ Result<BorrowedRelation> ExecJoinGeneric(const plan::JoinNode& node,
 }
 
 Result<BorrowedRelation> ExecFilter(const plan::FilterNode& node,
-                              const ExecContext& ctx) {
-  RASQL_ASSIGN_OR_RETURN(BorrowedRelation child, Exec(node.child(0), ctx));
-  PredicateEvaluator predicate(node.predicate(), ctx.use_codegen);
+                                    const ExecContext& ctx, bool fuse) {
+  RASQL_ASSIGN_OR_RETURN(BorrowedRelation child,
+                         Exec(node.child(0), ctx, fuse));
+  const expr::Expr& predicate = node.predicate();
   Relation out(node.schema());
   child.rel->ForEachRow([&](const Row& row) {
-    if (predicate.Eval(row)) out.Add(row);
+    if (expr::IsTruthy(predicate.Eval(row))) out.Add(row);
   });
   return Own(std::move(out));
 }
 
-/// Interpreted projection over a materialized child. Fused chains never
-/// reach here on the codegen path — Exec() routes them through the
+/// Interpreted projection over a materialized child. Fused chains reach
+/// here only from ExecuteInterpreted — Execute routes them through the
 /// PipelineProgram compiler (which subsumed the old ad-hoc
 /// Project(Filter(X)) / Project(Join(X, Y)) special cases).
 Result<BorrowedRelation> ExecProject(const plan::ProjectNode& node,
-                               const ExecContext& ctx) {
-  ProjectionEvaluator projector(node.exprs(), ctx.use_codegen);
+                                     const ExecContext& ctx, bool fuse) {
+  ProjectionEvaluator projector(node.exprs());
   Relation out(node.schema());
-  RASQL_ASSIGN_OR_RETURN(BorrowedRelation input, Exec(node.child(0), ctx));
+  RASQL_ASSIGN_OR_RETURN(BorrowedRelation input,
+                         Exec(node.child(0), ctx, fuse));
   out.Reserve(input.rel->size());
   input.rel->ForEachRow([&](const Row& row) {
     out.Add(projector.Eval(row));
@@ -289,8 +270,9 @@ Result<BorrowedRelation> ExecProject(const plan::ProjectNode& node,
 }
 
 Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
-                                 const ExecContext& ctx) {
-  RASQL_ASSIGN_OR_RETURN(BorrowedRelation input, Exec(node.child(0), ctx));
+                                       const ExecContext& ctx, bool fuse) {
+  RASQL_ASSIGN_OR_RETURN(BorrowedRelation input,
+                         Exec(node.child(0), ctx, fuse));
 
   const std::vector<expr::ExprPtr>& group_exprs = node.group_exprs();
   const std::vector<plan::AggregateItem>& items = node.items();
@@ -360,13 +342,11 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
   // Vectorized fast path (DESIGN.md §13, §15): when batch mode is on and
   // no aggregate is DISTINCT, group keys and aggregate arguments evaluate
   // column-at-a-time — plain column references read straight from the
-  // chunk arrays, computed expressions run through expr::VecProgram under
-  // interpreter-mirror semantics (this path always interprets its inputs,
-  // never the compiled double program) — and min/max/sum/count over
-  // non-null int64/double lanes run as typed loops. Group insertion order
-  // (and therefore output order) is identical to the row path; a chunk the
-  // kernels cannot mirror exactly drops to interpreted rows, chunk by
-  // chunk.
+  // chunk arrays, computed expressions run through expr::VecProgram — and
+  // min/max/sum/count over non-null int64/double lanes run as typed loops.
+  // Group insertion order (and therefore output order) is identical to the
+  // row path; a chunk the kernels cannot mirror exactly drops to
+  // interpreted rows, chunk by chunk.
   bool vectorized = ctx.batch_rows > 0;
   bool groups_plain = true;
   std::vector<int> group_cols(group_exprs.size(), -1);
@@ -378,8 +358,7 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
       group_cols[i] = static_cast<const expr::ColumnRefExpr&>(g).index();
     } else {
       groups_plain = false;
-      group_progs[i] = expr::VecProgram::Compile(
-          g, expr::VecSemantics::kInterpreterMirror);
+      group_progs[i] = expr::VecProgram::Compile(g);
       if (!group_progs[i]) vectorized = false;
     }
   }
@@ -393,8 +372,7 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
           static_cast<const expr::ColumnRefExpr&>(*items[j].argument)
               .index();
     } else {
-      item_progs[j] = expr::VecProgram::Compile(
-          *items[j].argument, expr::VecSemantics::kInterpreterMirror);
+      item_progs[j] = expr::VecProgram::Compile(*items[j].argument);
       if (!item_progs[j]) vectorized = false;
     }
   }
@@ -761,8 +739,9 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
 }
 
 Result<BorrowedRelation> ExecSort(const plan::SortNode& node,
-                            const ExecContext& ctx) {
-  RASQL_ASSIGN_OR_RETURN(BorrowedRelation input, Exec(node.child(0), ctx));
+                                  const ExecContext& ctx, bool fuse) {
+  RASQL_ASSIGN_OR_RETURN(BorrowedRelation input,
+                         Exec(node.child(0), ctx, fuse));
   std::vector<Row> rows = input.rel->MaterializeRows();
   std::stable_sort(
       rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
@@ -775,13 +754,14 @@ Result<BorrowedRelation> ExecSort(const plan::SortNode& node,
   return Own(Relation(input.rel->schema(), rows));
 }
 
-Result<BorrowedRelation> Exec(const LogicalPlan& node, const ExecContext& ctx) {
-  // Whole-stage fusion (codegen path): compile the filter/probe/project
-  // chain rooted here into one pipeline and run it over the full driver —
-  // no per-node intermediates. Probe steps reproduce the *hash* join's
-  // row order, so a sort-merge context only fuses probe-free chains; the
-  // interpreted tree walk below stays the oracle either way.
-  if (ctx.use_codegen &&
+Result<BorrowedRelation> Exec(const LogicalPlan& node, const ExecContext& ctx,
+                              bool fuse) {
+  // Whole-stage fusion: compile the filter/probe/project chain rooted here
+  // into one pipeline and run it over the full driver — no per-node
+  // intermediates. Probe steps reproduce the *hash* join's row order, so a
+  // sort-merge context only fuses probe-free chains; the tree walk below
+  // stays the oracle either way.
+  if (fuse &&
       (node.kind() == PlanKind::kProject || node.kind() == PlanKind::kFilter ||
        node.kind() == PlanKind::kJoin)) {
     std::optional<PipelineProgram> program = PipelineProgram::Compile(node);
@@ -806,19 +786,23 @@ Result<BorrowedRelation> Exec(const LogicalPlan& node, const ExecContext& ctx) {
       return Own(Relation(values.schema(), values.rows()));
     }
     case PlanKind::kFilter:
-      return ExecFilter(static_cast<const plan::FilterNode&>(node), ctx);
+      return ExecFilter(static_cast<const plan::FilterNode&>(node), ctx,
+                        fuse);
     case PlanKind::kProject:
-      return ExecProject(static_cast<const plan::ProjectNode&>(node), ctx);
+      return ExecProject(static_cast<const plan::ProjectNode&>(node), ctx,
+                         fuse);
     case PlanKind::kJoin:
-      return ExecJoinGeneric(static_cast<const plan::JoinNode&>(node), ctx);
+      return ExecJoinGeneric(static_cast<const plan::JoinNode&>(node), ctx,
+                             fuse);
     case PlanKind::kAggregate:
       return ExecAggregate(static_cast<const plan::AggregateNode&>(node),
-                           ctx);
+                           ctx, fuse);
     case PlanKind::kSort:
-      return ExecSort(static_cast<const plan::SortNode&>(node), ctx);
+      return ExecSort(static_cast<const plan::SortNode&>(node), ctx, fuse);
     case PlanKind::kLimit: {
       const auto& limit = static_cast<const plan::LimitNode&>(node);
-      RASQL_ASSIGN_OR_RETURN(BorrowedRelation input, Exec(node.child(0), ctx));
+      RASQL_ASSIGN_OR_RETURN(BorrowedRelation input,
+                             Exec(node.child(0), ctx, fuse));
       Relation out(node.schema());
       const size_t n = std::min<size_t>(input.rel->size(),
                                         static_cast<size_t>(limit.limit()));
@@ -830,17 +814,29 @@ Result<BorrowedRelation> Exec(const LogicalPlan& node, const ExecContext& ctx) {
   return Status::Internal("unhandled plan node");
 }
 
-}  // namespace
-
-Result<Relation> Execute(const LogicalPlan& plan, const ExecContext& ctx) {
-  RASQL_ASSIGN_OR_RETURN(BorrowedRelation result, Exec(plan, ctx));
+Result<Relation> Materialize(BorrowedRelation result) {
   if (result.owned) return std::move(*result.owned);
   return *result.rel;  // borrowed: copy out
 }
 
+}  // namespace
+
+Result<Relation> Execute(const LogicalPlan& plan, const ExecContext& ctx) {
+  RASQL_ASSIGN_OR_RETURN(BorrowedRelation result,
+                         Exec(plan, ctx, /*fuse=*/true));
+  return Materialize(std::move(result));
+}
+
+Result<Relation> ExecuteInterpreted(const LogicalPlan& plan,
+                                    const ExecContext& ctx) {
+  RASQL_ASSIGN_OR_RETURN(BorrowedRelation result,
+                         Exec(plan, ctx, /*fuse=*/false));
+  return Materialize(std::move(result));
+}
+
 Result<BorrowedRelation> ExecuteBorrowed(const LogicalPlan& plan,
                                          const ExecContext& ctx) {
-  return Exec(plan, ctx);
+  return Exec(plan, ctx, /*fuse=*/true);
 }
 
 }  // namespace rasql::physical

@@ -5,11 +5,10 @@
 #include <map>
 #include <memory>
 #include <string>
-
-#include <optional>
+#include <vector>
 
 #include "common/status.h"
-#include "expr/compiled_expr.h"
+#include "expr/expr.h"
 #include "plan/logical_plan.h"
 #include "storage/relation.h"
 
@@ -35,11 +34,6 @@ struct ExecContext {
   std::function<const storage::Relation*(const plan::RecursiveRefNode&)>
       recursive_resolver;
 
-  /// Whole-stage-codegen analogue: fuse join+filter+project pipelines and
-  /// run compiled expression programs instead of the interpreted tree
-  /// (paper Sec. 7.3; ablated by bench_fig07).
-  bool use_codegen = true;
-
   /// Vectorized batch execution (DESIGN.md §13): when > 0, fused pipelines
   /// evaluate filters as selection vectors over the chunks' typed arrays
   /// (in sub-batches of at most this many rows), extract hash-join keys
@@ -52,9 +46,19 @@ struct ExecContext {
 };
 
 /// Executes a logical plan against the context bindings and returns the
-/// materialized result.
+/// materialized result. Filter/probe/project chains run fused, as one
+/// PipelineProgram each (the whole-stage-codegen analogue, paper Sec. 7.3);
+/// every other shape, and probe chains under sort-merge, run the tree walk
+/// of ExecuteInterpreted.
 common::Result<storage::Relation> Execute(const plan::LogicalPlan& plan,
                                           const ExecContext& context);
+
+/// Executes a logical plan by the unfused tree walk: every operator
+/// materializes its input. It is the row-for-row oracle the fused pipelines
+/// are tested against, and produces the same rows in the same order as
+/// Execute.
+common::Result<storage::Relation> ExecuteInterpreted(
+    const plan::LogicalPlan& plan, const ExecContext& context);
 
 /// Either a borrowed pointer into the context (scans, recursive refs) or an
 /// owned materialized intermediate. `rel` always points at the result;
@@ -71,12 +75,12 @@ struct BorrowedRelation {
 common::Result<BorrowedRelation> ExecuteBorrowed(const plan::LogicalPlan& plan,
                                                  const ExecContext& context);
 
-/// Evaluates a projection list row-by-row, using compiled expression
-/// programs where possible (the codegen fast path).
+/// Evaluates a projection list row by row.
 class ProjectionEvaluator {
  public:
-  ProjectionEvaluator(const std::vector<expr::ExprPtr>& exprs,
-                      bool use_codegen);
+  /// Borrows `exprs`, which must outlive the evaluator.
+  explicit ProjectionEvaluator(const std::vector<expr::ExprPtr>& exprs)
+      : exprs_(&exprs) {}
 
   storage::Row Eval(const storage::Row& input) const;
   /// Eval into `*out` (resized to the projection width), reusing its cells'
@@ -84,26 +88,7 @@ class ProjectionEvaluator {
   void EvalInto(const storage::Row& input, storage::Row* out) const;
 
  private:
-  struct Entry {
-    const expr::Expr* expr;
-    std::optional<expr::CompiledExpr> compiled;
-  };
-  std::vector<Entry> exprs_;
-};
-
-/// Predicate evaluator with an optional compiled fast path.
-class PredicateEvaluator {
- public:
-  PredicateEvaluator(const expr::Expr& predicate, bool use_codegen);
-
-  bool Eval(const storage::Row& row) const {
-    if (compiled_) return compiled_->EvalBool(row);
-    return expr::IsTruthy(expr_->Eval(row));
-  }
-
- private:
-  const expr::Expr* expr_;
-  std::optional<expr::CompiledExpr> compiled_;
+  const std::vector<expr::ExprPtr>* exprs_;
 };
 
 /// A reusable build-side hash table for a keyed join: maps key hash ->

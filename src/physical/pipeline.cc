@@ -133,17 +133,16 @@ Status BoundPipeline::BindStep(const PipelineProgram::Step& step,
   bs->kind = step.kind;
   switch (step.kind) {
     case PipelineProgram::Step::Kind::kFilter:
-      bs->predicate.emplace(step.filter->predicate(), ctx.use_codegen);
-      // Compile the whole predicate for the batch path, mirroring
-      // whichever scalar engine the row evaluator above will use so both
-      // modes agree bit for bit (expr/vec_program.h).
+      bs->predicate = &step.filter->predicate();
+      // Compile the whole predicate for the batch path; its kernels run
+      // the interpreter's semantics, so both modes agree bit for bit
+      // (expr/vec_program.h).
       if (ctx.batch_rows > 0) {
-        bs->vec_filter = expr::VecProgram::CompileForFilter(
-            step.filter->predicate(), ctx.use_codegen);
+        bs->vec_filter = expr::VecProgram::Compile(*bs->predicate);
       }
       break;
     case PipelineProgram::Step::Kind::kProject:
-      bs->projector.emplace(step.project->exprs(), ctx.use_codegen);
+      bs->projector.emplace(step.project->exprs());
       break;
     case PipelineProgram::Step::Kind::kHashProbe: {
       RASQL_ASSIGN_OR_RETURN(bs->build,
@@ -183,7 +182,9 @@ void BoundPipeline::PushRow(const Row& row, size_t step,
   StepScratch& ss = (*scratch)[step];
   switch (bs.kind) {
     case PipelineProgram::Step::Kind::kFilter:
-      if (bs.predicate->Eval(row)) PushRow(row, step + 1, scratch, sink);
+      if (expr::IsTruthy(bs.predicate->Eval(row))) {
+        PushRow(row, step + 1, scratch, sink);
+      }
       return;
     case PipelineProgram::Step::Kind::kProject:
       // Deeper steps never retain a reference to a scratch row, so each
@@ -245,11 +246,10 @@ Status BoundPipeline::RunBatch(RowRange range, Relation* sink) const {
       i += batch_end - local;
       local = batch_end;
 
-      // Leading filters run as compiled selection-vector kernels over the
-      // chunk's typed arrays — any predicate shape, through the vectorized
+      // Leading filters run as selection-vector kernels over the chunk's
+      // typed arrays — any predicate shape, through the vectorized
       // expression layer. A chunk the kernels cannot mirror exactly drops
-      // to the row interpreter for the remaining steps — same result,
-      // different engine.
+      // to the row interpreter for the remaining steps — same result.
       size_t s = 0;
       for (; s < steps_.size() && !sel.empty(); ++s) {
         const BoundStep& bs = *steps_[s];

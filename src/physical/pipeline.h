@@ -84,7 +84,7 @@ class PipelineProgram {
 };
 
 /// A PipelineProgram bound to one evaluation context: driver and build
-/// relations resolved, hash tables built, expressions compiled. Run() is
+/// relations resolved, hash tables built, batch filters compiled. Run() is
 /// const and carries its working state on the caller's stack, so one
 /// BoundPipeline may be shared by concurrent morsel tasks evaluating
 /// disjoint RowRanges of the same driver, and its bound steps may be
@@ -128,9 +128,10 @@ class BoundPipeline {
   friend class PipelineProgram;
   struct BoundStep {
     PipelineProgram::Step::Kind kind;
-    std::optional<PredicateEvaluator> predicate;  // kFilter
-    /// kFilter batch kernel: the predicate compiled for whichever scalar
-    /// engine the row path uses, so batch and row mode agree bit for bit.
+    const expr::Expr* predicate = nullptr;  // kFilter
+    /// kFilter batch kernel: the predicate compiled to column-wise kernels
+    /// with the interpreter's semantics, so batch and row mode agree bit
+    /// for bit.
     std::optional<expr::VecProgram> vec_filter;
     std::optional<ProjectionEvaluator> projector;  // kProject
     // kHashProbe: materialized build side + its hash table. The table

@@ -248,24 +248,23 @@ PlanPtr FilteredJoinPlan() {
                                     std::vector<int>{1}, std::vector<int>{0});
 }
 
+/// Fused execution in row mode and at every batch size must reproduce the
+/// unfused row-mode tree walk row for row.
 void ExpectBatchMatchesRowMode(const PlanPtr& plan, const Relation& edges,
-                               bool use_codegen, const char* label) {
+                               const char* label) {
   ExecContext ctx;
   ctx.tables["edge"] = &edges;
-  ctx.use_codegen = use_codegen;
-  ctx.batch_rows = 0;
-  auto row_mode = Execute(*plan, ctx);
-  ASSERT_TRUE(row_mode.ok()) << label << ": " << row_mode.status();
-  for (size_t batch : {size_t{1}, size_t{7}, size_t{256}, size_t{4096}}) {
+  auto oracle = ExecuteInterpreted(*plan, ctx);
+  ASSERT_TRUE(oracle.ok()) << label << ": " << oracle.status();
+  for (size_t batch :
+       {size_t{0}, size_t{1}, size_t{7}, size_t{256}, size_t{4096}}) {
     ctx.batch_rows = batch;
-    auto batch_mode = Execute(*plan, ctx);
-    ASSERT_TRUE(batch_mode.ok()) << label << ": " << batch_mode.status();
-    ASSERT_EQ(batch_mode->size(), row_mode->size())
-        << label << " batch=" << batch << " codegen=" << use_codegen;
-    for (size_t i = 0; i < row_mode->size(); ++i) {
-      ASSERT_EQ(batch_mode->GetRow(i), row_mode->GetRow(i))
-          << label << " batch=" << batch << " codegen=" << use_codegen
-          << " row " << i;
+    auto got = Execute(*plan, ctx);
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+    ASSERT_EQ(got->size(), oracle->size()) << label << " batch=" << batch;
+    for (size_t i = 0; i < oracle->size(); ++i) {
+      ASSERT_EQ(got->GetRow(i), oracle->GetRow(i))
+          << label << " batch=" << batch << " row " << i;
     }
   }
 }
@@ -283,10 +282,7 @@ TEST(BatchPipelineTest, EveryStepKindMatchesInterpreterRowForRow) {
   cases.push_back({"filter+probe+project", FilterJoinProjectPlan()});
   cases.push_back({"vec-filter-under-probe", FilteredJoinPlan()});
   for (const Case& c : cases) {
-    // codegen on: leading simple filters run as selection-vector kernels;
-    // codegen off: batch mode must fall back to the exact interpreter.
-    ExpectBatchMatchesRowMode(c.plan, edges, /*use_codegen=*/true, c.label);
-    ExpectBatchMatchesRowMode(c.plan, edges, /*use_codegen=*/false, c.label);
+    ExpectBatchMatchesRowMode(c.plan, edges, c.label);
   }
 }
 
@@ -303,8 +299,7 @@ TEST(BatchPipelineTest, NullsAndMixedTypesForceExactFallback) {
     }
   }
   PlanPtr plan = FilterPlan();
-  ExpectBatchMatchesRowMode(plan, rel, /*use_codegen=*/true, "null-filter");
-  ExpectBatchMatchesRowMode(plan, rel, /*use_codegen=*/false, "null-filter");
+  ExpectBatchMatchesRowMode(plan, rel, "null-filter");
 }
 
 TEST(BatchPipelineTest, DoubleColumnsVectorizeIdentically) {
@@ -318,7 +313,7 @@ TEST(BatchPipelineTest, DoubleColumnsVectorizeIdentically) {
       expr::MakeBinary(BinaryOp::kGt, expr::MakeLiteral(Value::Double(3.5)),
                        expr::MakeColumnRef(1, ValueType::kDouble)));
   PlanPtr p = std::move(plan);
-  ExpectBatchMatchesRowMode(p, rel, /*use_codegen=*/true, "double-filter");
+  ExpectBatchMatchesRowMode(p, rel, "double-filter");
 }
 
 TEST(BatchPipelineTest, MorselRangesStraddlingChunksConcatenate) {
@@ -531,10 +526,7 @@ TEST(BatchPipelineTest, DictStringFiltersMatchInterpreter) {
           expr::MakeBinary(op,
                            expr::MakeColumnRef(0, ValueType::kString),
                            expr::MakeLiteral(Value::String(needle))));
-      ExpectBatchMatchesRowMode(plan, rel, /*use_codegen=*/true,
-                                "dict-filter");
-      ExpectBatchMatchesRowMode(plan, rel, /*use_codegen=*/false,
-                                "dict-filter");
+      ExpectBatchMatchesRowMode(plan, rel, "dict-filter");
     }
   }
   // Column-vs-column equality within one dictionary-coded relation.
@@ -549,8 +541,7 @@ TEST(BatchPipelineTest, DictStringFiltersMatchInterpreter) {
       expr::MakeBinary(BinaryOp::kEq,
                        expr::MakeColumnRef(0, ValueType::kString),
                        expr::MakeColumnRef(1, ValueType::kString)));
-  ExpectBatchMatchesRowMode(colcol, pairs, /*use_codegen=*/true,
-                            "dict-col-col");
+  ExpectBatchMatchesRowMode(colcol, pairs, "dict-col-col");
 }
 
 TEST(BatchPipelineTest, TwoKeyDenseAggregateMatchesRowOrder) {
@@ -651,9 +642,7 @@ TEST(BatchPipelineTest, NaNFilterKernelsMatchInterpreter) {
         std::make_unique<TableScanNode>("edge", rel.schema()),
         expr::MakeBinary(op, expr::MakeColumnRef(1, ValueType::kDouble),
                          expr::MakeLiteral(Value::Double(1.25))));
-    ExpectBatchMatchesRowMode(plan, rel, /*use_codegen=*/true, "nan-filter");
-    ExpectBatchMatchesRowMode(plan, rel, /*use_codegen=*/false,
-                              "nan-filter");
+    ExpectBatchMatchesRowMode(plan, rel, "nan-filter");
   }
 }
 

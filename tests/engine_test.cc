@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "datagen/graph_gen.h"
@@ -450,7 +451,7 @@ TEST(EngineTest, ErrorPaths) {
 
 // ---------------------------------------------------------------------
 // Consistency sweep: every execution configuration (local/distributed,
-// stage combination, decomposed, join algorithm, codegen) must produce
+// stage combination, decomposed, join algorithm, batch mode) must produce
 // identical results for the paper's core queries.
 // ---------------------------------------------------------------------
 
@@ -459,9 +460,15 @@ struct ConfigVariant {
   bool distributed;
   bool combine_stages;
   fixpoint::DistFixpointOptions::Decomposed decomposed;
-  bool use_codegen;
+  size_t batch_rows;
   physical::JoinAlgorithm join_algorithm;
 };
+
+// gtest would otherwise name each case after the struct's raw bytes, which
+// include the `name` pointer and change with every rebuild of this file.
+void PrintTo(const ConfigVariant& variant, std::ostream* os) {
+  *os << variant.name;
+}
 
 class ConsistencySweep : public ::testing::TestWithParam<ConfigVariant> {};
 
@@ -472,7 +479,7 @@ EngineConfig MakeConfig(const ConfigVariant& variant) {
   config.cluster.num_partitions = 5;
   config.dist_fixpoint.combine_stages = variant.combine_stages;
   config.dist_fixpoint.decomposed = variant.decomposed;
-  config.fixpoint.use_codegen = variant.use_codegen;
+  config.runtime.batch_rows = variant.batch_rows;
   config.fixpoint.join_algorithm = variant.join_algorithm;
   return config;
 }
@@ -580,28 +587,28 @@ TEST_P(ConsistencySweep, SameGenerationMatchesReference) {
 
 constexpr ConfigVariant kVariants[] = {
     {"local_naive_equivalent", false, true,
-     fixpoint::DistFixpointOptions::Decomposed::kAuto, true,
+     fixpoint::DistFixpointOptions::Decomposed::kAuto, 0,
      physical::JoinAlgorithm::kHash},
-    {"local_no_codegen", false, true,
-     fixpoint::DistFixpointOptions::Decomposed::kAuto, false,
+    {"local_batch", false, true,
+     fixpoint::DistFixpointOptions::Decomposed::kAuto, 64,
      physical::JoinAlgorithm::kHash},
     {"local_sort_merge", false, true,
-     fixpoint::DistFixpointOptions::Decomposed::kAuto, true,
+     fixpoint::DistFixpointOptions::Decomposed::kAuto, 0,
      physical::JoinAlgorithm::kSortMerge},
     {"dist_combined", true, true,
-     fixpoint::DistFixpointOptions::Decomposed::kAuto, true,
+     fixpoint::DistFixpointOptions::Decomposed::kAuto, 0,
      physical::JoinAlgorithm::kHash},
     {"dist_uncombined", true, false,
-     fixpoint::DistFixpointOptions::Decomposed::kAuto, true,
+     fixpoint::DistFixpointOptions::Decomposed::kAuto, 0,
      physical::JoinAlgorithm::kHash},
     {"dist_no_decomposed", true, true,
-     fixpoint::DistFixpointOptions::Decomposed::kOff, true,
+     fixpoint::DistFixpointOptions::Decomposed::kOff, 0,
      physical::JoinAlgorithm::kHash},
     {"dist_sort_merge", true, true,
-     fixpoint::DistFixpointOptions::Decomposed::kAuto, true,
+     fixpoint::DistFixpointOptions::Decomposed::kAuto, 0,
      physical::JoinAlgorithm::kSortMerge},
-    {"dist_no_codegen", true, false,
-     fixpoint::DistFixpointOptions::Decomposed::kOff, false,
+    {"dist_batch_uncombined_sort_merge", true, false,
+     fixpoint::DistFixpointOptions::Decomposed::kOff, 64,
      physical::JoinAlgorithm::kSortMerge},
 };
 

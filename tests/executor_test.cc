@@ -53,14 +53,13 @@ TEST(ExecutorTest, FilterWithAndWithoutCodegen) {
       ScanEdge(), expr::MakeBinary(BinaryOp::kGt,
                                    expr::MakeColumnRef(0, ValueType::kInt64),
                                    expr::MakeLiteral(Value::Int(2))));
-  for (bool codegen : {true, false}) {
-    ExecContext ctx;
-    ctx.tables["edge"] = &edges;
-    ctx.use_codegen = codegen;
-    auto result = Execute(*filter, ctx);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->size(), 2u) << "codegen=" << codegen;
-  }
+  ExecContext ctx;
+  ctx.tables["edge"] = &edges;
+  auto fused = Execute(*filter, ctx);
+  auto interpreted = ExecuteInterpreted(*filter, ctx);
+  ASSERT_TRUE(fused.ok() && interpreted.ok());
+  EXPECT_EQ(fused->size(), 2u);
+  EXPECT_TRUE(storage::SameRows(*fused, *interpreted));
 }
 
 TEST(ExecutorTest, HashAndSortMergeJoinsAgree) {
@@ -116,13 +115,10 @@ TEST(ExecutorTest, FusedProjectJoinMatchesUnfused) {
     return std::make_unique<ProjectNode>(std::move(join), std::move(exprs),
                                          EdgeSchema());
   };
-  ExecContext fused;
-  fused.tables["edge"] = &edges;
-  fused.use_codegen = true;
-  ExecContext unfused = fused;
-  unfused.use_codegen = false;
-  auto a = Execute(*make_plan(), fused);
-  auto b = Execute(*make_plan(), unfused);
+  ExecContext ctx;
+  ctx.tables["edge"] = &edges;
+  auto a = Execute(*make_plan(), ctx);
+  auto b = ExecuteInterpreted(*make_plan(), ctx);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(storage::SameBag(*a, *b));
   // Hand count: per left row, matches on Dst=Src: 2+1+2+2+1.
@@ -276,10 +272,8 @@ TEST(PipelineTest, MatchesInterpretedRowForRow) {
   PlanPtr plan = TwoHopPlan();
   ExecContext ctx;
   ctx.tables["edge"] = &edges;
-  ctx.use_codegen = true;
   auto fused = Execute(*plan, ctx);
-  ctx.use_codegen = false;
-  auto interpreted = Execute(*plan, ctx);
+  auto interpreted = ExecuteInterpreted(*plan, ctx);
   ASSERT_TRUE(fused.ok() && interpreted.ok());
   // Exact row order, not just bag equality: morsel merging relies on the
   // pipeline producing the tree walk's probe-major order.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -485,14 +486,37 @@ TEST(ServerTest, OverlyNestedSqlIsAParseErrorAndServingContinues) {
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(client.last_error_code(), ErrorCode::kParse);
 
-  // A deep expression under the cap — one the compiled engine refuses —
-  // is served, on the same session and on a new one.
+  // A deep expression under the cap is served, on the same session and on
+  // a new one.
   std::string nested = "Src";
   for (int i = 0; i < 70; ++i) nested = "1 + (" + nested + ")";
   auto ok = client.Query("SELECT " + nested + " FROM edge WHERE Dst = 2");
   ASSERT_TRUE(ok.ok()) << ok.status();
   Client other = ts.Connect();
   auto again = other.Query("SELECT Src FROM edge WHERE Dst = 2");
+  EXPECT_TRUE(again.ok()) << again.status();
+}
+
+TEST(ServerTest, Int64MinDividedByMinusOneWrapsAndServingContinues) {
+  TestServer ts;
+  Client client = ts.Connect();
+  // INT64_MIN / -1 traps in hardware; the engine defines it as INT64_MIN
+  // (two's-complement wrap), so the query is answered, not a dead server.
+  auto wrapped = client.Query(
+      "SELECT (Src - Src - 9223372036854775807 - 1) / -1 FROM edge "
+      "WHERE Src = 1");
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status();
+  std::istringstream lines(wrapped->body);
+  std::string line;
+  std::getline(lines, line);  // CSV header
+  int rows = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_EQ(line, "-9223372036854775808");
+    ++rows;
+  }
+  EXPECT_EQ(rows, 2);
+
+  auto again = ts.Connect().Query("SELECT Src FROM edge WHERE Dst = 2");
   EXPECT_TRUE(again.ok()) << again.status();
 }
 

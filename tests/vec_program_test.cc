@@ -1,8 +1,8 @@
 // Property suite for the vectorized expression layer (DESIGN.md §15):
 // randomized expression trees over mixed int64/double/string chunks with
-// nulls and NaN, evaluated by expr::VecProgram column-at-a-time and by the
-// scalar engine it mirrors — the interpreted Expr tree or CompiledExpr —
-// must produce exactly the same Values (bit-identical doubles) and the same
+// nulls, NaN and int64 extremes, evaluated by expr::VecProgram
+// column-at-a-time and by the interpreted Expr tree, must produce exactly
+// the same Values (bit-identical doubles, wrapped int64) and the same
 // filter survivors. Chunk shapes the kernels cannot mirror must be declined
 // (return false, selection vector untouched), never answered approximately.
 
@@ -10,13 +10,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "expr/compiled_expr.h"
 #include "expr/expr.h"
 #include "expr/vec_program.h"
 #include "storage/relation.h"
@@ -26,12 +26,10 @@ namespace {
 
 using common::Rng;
 using expr::BinaryOp;
-using expr::CompiledExpr;
 using expr::Expr;
 using expr::ExprPtr;
 using expr::VecBatch;
 using expr::VecProgram;
-using expr::VecSemantics;
 using storage::ColumnChunk;
 using storage::Relation;
 using storage::Row;
@@ -71,8 +69,25 @@ std::string Describe(const Value& v) {
 // ---- Random data ---------------------------------------------------------
 
 // Columns: I (int64), D (double, with NaN lanes), S (dictionary string),
-// J (second int64). Small magnitudes keep every arithmetic result — and
-// CompiledExpr's final double→int64 cast — well inside int64 range.
+// J (second int64). One int64 lane in four holds an edge value, so
+// arithmetic overflows, divides INT64_MIN by -1 and by 0, and loses
+// precision in double.
+int64_t RandomInt(Rng* rng) {
+  static const int64_t kEdges[] = {
+      std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::min() + 1,
+      -1,
+      0,
+      1,
+      std::numeric_limits<int64_t>::max(),
+      (int64_t{1} << 53) - 1,
+      (int64_t{1} << 53) + 1};
+  if (rng->NextBounded(4) == 0) {
+    return kEdges[rng->NextBounded(std::size(kEdges))];
+  }
+  return rng->NextInRange(-9, 9);
+}
+
 Relation RandomRelation(Rng* rng, size_t n, bool with_nulls) {
   const char* pool[] = {"a", "b", "c", "dd"};
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -85,8 +100,7 @@ Relation RandomRelation(Rng* rng, size_t n, bool with_nulls) {
     const bool null_i = with_nulls && rng->NextBounded(8) == 0;
     const bool null_d = with_nulls && rng->NextBounded(8) == 0;
     const bool null_s = with_nulls && rng->NextBounded(8) == 0;
-    row.push_back(null_i ? Value::Null()
-                         : Value::Int(rng->NextInRange(-9, 9)));
+    row.push_back(null_i ? Value::Null() : Value::Int(RandomInt(rng)));
     if (null_d) {
       row.push_back(Value::Null());
     } else if (rng->NextBounded(10) == 0) {
@@ -96,7 +110,7 @@ Relation RandomRelation(Rng* rng, size_t n, bool with_nulls) {
     }
     row.push_back(null_s ? Value::Null()
                          : Value::String(pool[rng->NextBounded(4)]));
-    row.push_back(Value::Int(rng->NextInRange(-9, 9)));
+    row.push_back(Value::Int(RandomInt(rng)));
     rel.AppendRow(row);
   }
   return rel;
@@ -136,16 +150,8 @@ ExprPtr GenExpr(Rng* rng, int depth, const std::vector<ValueType>& cols) {
   if (pick < 4) {  // + - * /
     static const BinaryOp kArith[] = {BinaryOp::kAdd, BinaryOp::kSub,
                                       BinaryOp::kMul, BinaryOp::kDiv};
-    const BinaryOp op = kArith[pick];
-    ExprPtr lhs = GenExpr(rng, depth - 1, cols);
-    // Division keeps a nonzero literal denominator: x/0 is NULL in the
-    // interpreter but +-inf in CompiledExpr's all-double program, and a
-    // final inf→int64 cast would be UB. The interpreter's zero-denominator
-    // arm has its own directed test below.
-    ExprPtr rhs = op == BinaryOp::kDiv
-                      ? expr::MakeLiteral(Value::Int(rng->NextInRange(1, 9)))
-                      : GenExpr(rng, depth - 1, cols);
-    return expr::MakeBinary(op, std::move(lhs), std::move(rhs));
+    return expr::MakeBinary(kArith[pick], GenExpr(rng, depth - 1, cols),
+                            GenExpr(rng, depth - 1, cols));
   }
   if (pick < 10) {
     static const BinaryOp kCmp[] = {BinaryOp::kEq, BinaryOp::kNe,
@@ -170,10 +176,8 @@ ExprPtr GenExpr(Rng* rng, int depth, const std::vector<ValueType>& cols) {
 // ---- The property --------------------------------------------------------
 
 struct Coverage {
-  int interp_compiled = 0;
-  int interp_vectorized = 0;
-  int mirror_compiled = 0;
-  int mirror_vectorized = 0;
+  int compiled = 0;
+  int vectorized = 0;
 };
 
 std::vector<uint32_t> Identity(size_t n) {
@@ -182,8 +186,8 @@ std::vector<uint32_t> Identity(size_t n) {
   return sel;
 }
 
-// Runs `e` through both vectorized semantics over `chunk` and checks each
-// against its scalar oracle on the materialized `rows`.
+// Runs `e` through VecProgram over `chunk` and checks it against the
+// interpreter on the materialized `rows`.
 void CheckExpr(const Expr& e, const ColumnChunk& chunk,
                const std::vector<Row>& rows, Coverage* cov) {
   const size_t n = rows.size();
@@ -191,10 +195,10 @@ void CheckExpr(const Expr& e, const ColumnChunk& chunk,
   VecProgram::Scratch scratch;
   VecBatch out;
 
-  if (auto vp = VecProgram::Compile(e, VecSemantics::kInterpreterMirror)) {
-    ++cov->interp_compiled;
+  if (auto vp = VecProgram::Compile(e)) {
+    ++cov->compiled;
     if (vp->EvalChunk(chunk, identity.data(), n, &scratch, &out)) {
-      ++cov->interp_vectorized;
+      ++cov->vectorized;
       for (size_t i = 0; i < n; ++i) {
         const Value expect = e.Eval(rows[i]);
         ASSERT_TRUE(SameValue(out.ValueAt(i), expect))
@@ -216,31 +220,6 @@ void CheckExpr(const Expr& e, const ColumnChunk& chunk,
                                << ": fallback must leave sel untouched";
     }
   }
-
-  if (auto ce = CompiledExpr::Compile(e)) {
-    // Whatever CompiledExpr accepts, the compiled mirror must accept: the
-    // row path would run the codegen engine, so batch mode has to follow.
-    auto vp = VecProgram::Compile(e, VecSemantics::kCompiledMirror);
-    ASSERT_TRUE(vp.has_value()) << e.ToString();
-    ++cov->mirror_compiled;
-    if (vp->EvalChunk(chunk, identity.data(), n, &scratch, &out)) {
-      ++cov->mirror_vectorized;
-      for (size_t i = 0; i < n; ++i) {
-        const Value expect = ce->EvalValue(rows[i]);
-        ASSERT_TRUE(SameValue(out.ValueAt(i), expect))
-            << e.ToString() << " row " << i << ": vec="
-            << Describe(out.ValueAt(i)) << " codegen=" << Describe(expect);
-      }
-    }
-    std::vector<uint32_t> sel = Identity(n);
-    if (vp->FilterChunk(chunk, &sel, &scratch)) {
-      std::vector<uint32_t> expect;
-      for (size_t i = 0; i < n; ++i) {
-        if (ce->EvalBool(rows[i])) expect.push_back(static_cast<uint32_t>(i));
-      }
-      ASSERT_EQ(sel, expect) << e.ToString();
-    }
-  }
 }
 
 void RunProperty(uint64_t seed, bool with_nulls) {
@@ -258,10 +237,8 @@ void RunProperty(uint64_t seed, bool with_nulls) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   // The suite is vacuous if everything fell back; demand real vector runs.
-  EXPECT_GT(cov.interp_compiled, 100);
-  EXPECT_GT(cov.interp_vectorized, 50);
-  EXPECT_GT(cov.mirror_compiled, 50);
-  EXPECT_GT(cov.mirror_vectorized, 25);
+  EXPECT_GT(cov.compiled, 100);
+  EXPECT_GT(cov.vectorized, 50);
 }
 
 TEST(VecProgramProperty, RandomTreesOverCleanChunks) {
@@ -287,7 +264,7 @@ TEST(VecProgramTest, IntegerDivisionByZeroColumnIsNull) {
   ExprPtr e = expr::MakeBinary(BinaryOp::kDiv,
                                expr::MakeColumnRef(0, ValueType::kInt64),
                                expr::MakeColumnRef(1, ValueType::kInt64));
-  auto vp = VecProgram::Compile(*e, VecSemantics::kInterpreterMirror);
+  auto vp = VecProgram::Compile(*e);
   ASSERT_TRUE(vp.has_value());
   const std::vector<uint32_t> identity = Identity(rel.size());
   VecProgram::Scratch scratch;
@@ -305,11 +282,8 @@ TEST(VecProgramTest, IntegerDivisionByZeroColumnIsNull) {
 }
 
 TEST(VecProgramTest, BoxedVariantChunksSplitByEngine) {
-  // A column that mixes int64 and string boxes the chunk. The interpreter
-  // mirror must hand the whole chunk back rather than guess; the compiled
-  // mirror keeps going, because CompiledExpr itself loads ANY Value as a
-  // numeric double (strings read as 0.0) and the kernel reproduces that
-  // per boxed row.
+  // A column that mixes int64 and string boxes the chunk. The kernels must
+  // hand the whole chunk back to the row interpreter rather than guess.
   Relation rel(Schema::Of({{"A", ValueType::kInt64}}));
   rel.AppendRow({Value::Int(1)});
   rel.AppendRow({Value::String("boxed")});
@@ -317,33 +291,15 @@ TEST(VecProgramTest, BoxedVariantChunksSplitByEngine) {
   ExprPtr e = expr::MakeBinary(BinaryOp::kLt,
                                expr::MakeColumnRef(0, ValueType::kInt64),
                                expr::MakeLiteral(Value::Int(2)));
-  {
-    auto vp = VecProgram::Compile(*e, VecSemantics::kInterpreterMirror);
-    ASSERT_TRUE(vp.has_value());
-    VecProgram::Scratch scratch;
-    std::vector<uint32_t> sel = Identity(rel.size());
-    EXPECT_FALSE(vp->FilterChunk(rel.chunk(0), &sel, &scratch));
-    EXPECT_EQ(sel, Identity(rel.size()));
-    VecBatch out;
-    EXPECT_FALSE(vp->EvalChunk(rel.chunk(0), sel.data(), sel.size(),
-                               &scratch, &out));
-  }
-  {
-    auto ce = CompiledExpr::Compile(*e);
-    ASSERT_TRUE(ce.has_value());
-    auto vp = VecProgram::Compile(*e, VecSemantics::kCompiledMirror);
-    ASSERT_TRUE(vp.has_value());
-    VecProgram::Scratch scratch;
-    std::vector<uint32_t> sel = Identity(rel.size());
-    ASSERT_TRUE(vp->FilterChunk(rel.chunk(0), &sel, &scratch));
-    std::vector<uint32_t> expect;
-    for (size_t i = 0; i < rel.size(); ++i) {
-      Row row;
-      rel.chunk(0).MaterializeRow(i, &row);
-      if (ce->EvalBool(row)) expect.push_back(static_cast<uint32_t>(i));
-    }
-    EXPECT_EQ(sel, expect);
-  }
+  auto vp = VecProgram::Compile(*e);
+  ASSERT_TRUE(vp.has_value());
+  VecProgram::Scratch scratch;
+  std::vector<uint32_t> sel = Identity(rel.size());
+  EXPECT_FALSE(vp->FilterChunk(rel.chunk(0), &sel, &scratch));
+  EXPECT_EQ(sel, Identity(rel.size()));
+  VecBatch out;
+  EXPECT_FALSE(vp->EvalChunk(rel.chunk(0), sel.data(), sel.size(), &scratch,
+                             &out));
 }
 
 TEST(VecProgramTest, StringVersusNumericComparisonFallsBack) {
@@ -354,7 +310,7 @@ TEST(VecProgramTest, StringVersusNumericComparisonFallsBack) {
   ExprPtr e = expr::MakeBinary(BinaryOp::kEq,
                                expr::MakeColumnRef(0, ValueType::kString),
                                expr::MakeColumnRef(1, ValueType::kInt64));
-  auto vp = VecProgram::Compile(*e, VecSemantics::kInterpreterMirror);
+  auto vp = VecProgram::Compile(*e);
   ASSERT_TRUE(vp.has_value());
   VecProgram::Scratch scratch;
   std::vector<uint32_t> sel = Identity(rel.size());
@@ -362,24 +318,50 @@ TEST(VecProgramTest, StringVersusNumericComparisonFallsBack) {
   EXPECT_EQ(sel, Identity(rel.size()));
 }
 
-TEST(VecProgramTest, CompileForFilterPicksTheRowEngine) {
-  // Numeric predicate + codegen on -> compiled mirror; codegen off, or a
-  // string shape CompiledExpr rejects -> interpreter mirror.
-  ExprPtr numeric = expr::MakeBinary(
-      BinaryOp::kLt, expr::MakeColumnRef(0, ValueType::kInt64),
-      expr::MakeLiteral(Value::Int(5)));
-  ExprPtr stringy = expr::MakeBinary(
-      BinaryOp::kEq, expr::MakeColumnRef(0, ValueType::kString),
-      expr::MakeLiteral(Value::String("a")));
-  auto on = VecProgram::CompileForFilter(*numeric, /*use_codegen=*/true);
-  ASSERT_TRUE(on.has_value());
-  EXPECT_EQ(on->semantics(), VecSemantics::kCompiledMirror);
-  auto off = VecProgram::CompileForFilter(*numeric, /*use_codegen=*/false);
-  ASSERT_TRUE(off.has_value());
-  EXPECT_EQ(off->semantics(), VecSemantics::kInterpreterMirror);
-  auto str = VecProgram::CompileForFilter(*stringy, /*use_codegen=*/true);
-  ASSERT_TRUE(str.has_value());
-  EXPECT_EQ(str->semantics(), VecSemantics::kInterpreterMirror);
+TEST(VecProgramTest, Int64EdgesWrapLikeTheInterpreter) {
+  // Two's-complement wrapping for + - * and unary minus, INT64_MIN / -1 =
+  // INT64_MIN, x / 0 = NULL: lane for lane what Expr::Eval computes.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  struct Case {
+    BinaryOp op;
+    int64_t x;
+    int64_t y;
+    int64_t want;
+  };
+  const Case cases[] = {
+      {BinaryOp::kAdd, kMax, 1, kMin},  {BinaryOp::kSub, kMin, 1, kMax},
+      {BinaryOp::kMul, kMin, -1, kMin}, {BinaryOp::kDiv, kMin, -1, kMin},
+      {BinaryOp::kDiv, kMax, -1, -kMax}, {BinaryOp::kSub, 0, kMin, kMin},
+  };
+  Relation rel(Schema::Of({{"X", ValueType::kInt64},
+                           {"Y", ValueType::kInt64}}));
+  for (const Case& c : cases) rel.AppendRow({Value::Int(c.x), Value::Int(c.y)});
+  rel.AppendRow({Value::Int(kMin), Value::Int(0)});
+  const ExprPtr x = expr::MakeColumnRef(0, ValueType::kInt64);
+  const ExprPtr y = expr::MakeColumnRef(1, ValueType::kInt64);
+  const std::vector<uint32_t> identity = Identity(rel.size());
+  VecProgram::Scratch scratch;
+  VecBatch out;
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    ExprPtr e = expr::MakeBinary(cases[i].op, x->Clone(), y->Clone());
+    auto vp = VecProgram::Compile(*e);
+    ASSERT_TRUE(vp.has_value());
+    ASSERT_TRUE(vp->EvalChunk(rel.chunk(0), identity.data(), rel.size(),
+                              &scratch, &out));
+    EXPECT_EQ(out.ValueAt(i).AsInt(), cases[i].want) << e->ToString();
+    for (size_t r = 0; r < rel.size(); ++r) {
+      EXPECT_TRUE(SameValue(out.ValueAt(r), e->Eval(rel.GetRow(r))))
+          << e->ToString() << " row " << r;
+    }
+  }
+  // -INT64_MIN wraps to itself.
+  expr::NegateExpr neg(x->Clone());
+  auto vp = VecProgram::Compile(neg);
+  ASSERT_TRUE(vp.has_value());
+  ASSERT_TRUE(vp->EvalChunk(rel.chunk(0), identity.data(), rel.size(),
+                            &scratch, &out));
+  EXPECT_EQ(out.ValueAt(std::size(cases)).AsInt(), kMin);
 }
 
 }  // namespace
