@@ -91,6 +91,13 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 "${TSAN_BUILD_DIR}/tests/fixpoint_test" \
   --gtest_filter='*LocalFixpointParallel*:*BuildsTheEdgeTableOnce*'
 
+# Distributed step under TSan (DESIGN.md §18): concurrent morsel sub-tasks
+# of one partition race to the per-partition invariant bind (a once_flag)
+# and then probe it read-only, and view-reading binds count into an
+# atomic. Filtered re-run so the gate stays explicit.
+"${TSAN_BUILD_DIR}/tests/fixpoint_test" \
+  --gtest_filter='*DistributedFixpoint*'
+
 # Canonical collect under TSan (DESIGN.md §16): partition tasks run on
 # the pool between stages — each sorts its own SetRdd slice into its own
 # run slot and frees that slice's hash state inside the task — and the
@@ -105,7 +112,7 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 
 # Morsel-split matrix under TSan: split sub-tasks write caller-owned slots
 # concurrently with finalize tasks being released per partition, and the
-# lazy per-partition hash build runs under call_once from several threads.
+# per-partition invariant bind runs under call_once from several threads.
 # The determinism matrix (threads {1,2,8} × morsel on/off × batch on/off,
 # local and distributed) is exactly the schedule TSan must see clean.
 "${TSAN_BUILD_DIR}/tests/morsel_test" \

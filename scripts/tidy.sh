@@ -64,6 +64,22 @@ if grep -rnw -E 'CompiledExpr|use_codegen|kCompiledMirror|VecSemantics|CompileFo
        "expr::Expr::Eval or expr::VecProgram" >&2
   exit 1
 fi
+# 6. One step engine (DESIGN.md §18): the distributed fixpoint runs each
+#    recursive step on physical::PipelineProgram, and
+#    PipelineProgram::Compile alone decides whether a probe chain fuses.
+#    StepEvaluator's private join loops and caches, has_probe_steps() and
+#    the deterministic_reduce knob were deleted; nothing may bring them
+#    back. Whole words only.
+if grep -rnw \
+    -e EvalFusedHash -e EvalSortMerge -e EvalGeneric -e KeyLess \
+    -e hash_cache_ -e hash_once_ -e sorted_cache_ -e base_rows_cache_ \
+    -e has_probe_steps -e deterministic_reduce \
+    src tests bench examples --include='*.cc' --include='*.h' \
+    --include='*.cpp'; then
+  echo "tidy.sh: FAIL — recursive steps run on physical::PipelineProgram" \
+       "(bound per partition), not private join loops or caches" >&2
+  exit 1
+fi
 echo "tidy.sh: columnar-API grep gates passed"
 
 TIDY_BIN=${TIDY_BIN:-clang-tidy}

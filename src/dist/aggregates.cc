@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "expr/int64_arith.h"
 
 namespace rasql::dist {
 
@@ -35,10 +36,11 @@ Value CombineAgg(AggregateFunction function, const Value& a, const Value& b) {
     case AggregateFunction::kSum:
     case AggregateFunction::kCount:
       // count is the continuous monotonic count (paper Sec. 3): like sum,
-      // contributions accumulate; int-typed inputs stay int.
+      // contributions accumulate; int-typed inputs stay int and wrap past
+      // INT64_MAX like expression arithmetic (expr/int64_arith.h).
       if (a.type() == storage::ValueType::kInt64 &&
           b.type() == storage::ValueType::kInt64) {
-        return Value::Int(a.AsInt() + b.AsInt());
+        return Value::Int(expr::WrapAdd(a.AsInt(), b.AsInt()));
       }
       return Value::Double(a.AsNumeric() + b.AsNumeric());
     case AggregateFunction::kNone:
@@ -80,7 +82,7 @@ void CombineInto(const AggSpec& spec, const storage::ColumnChunk& chunk,
           return;
         case AggregateFunction::kSum:
         case AggregateFunction::kCount:
-          acc = acc + v;
+          acc = expr::WrapAdd(acc, v);
           return;
         case AggregateFunction::kNone:
           break;

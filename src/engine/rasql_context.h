@@ -37,8 +37,8 @@ struct EngineConfig {
   fixpoint::DistFixpointOptions dist_fixpoint;
 
   /// Real task-execution runtime under the simulated cluster: how many OS
-  /// threads run each stage's tasks, and how shared per-stage accumulators
-  /// reduce (see DESIGN.md §7). Defaults to one thread (sequential).
+  /// threads run each stage's tasks (see DESIGN.md §7). Defaults to one
+  /// thread (sequential).
   runtime::RuntimeOptions runtime;
 
   /// Run the static PreM/monotonicity linter before executing each query

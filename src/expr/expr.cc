@@ -99,14 +99,22 @@ Value EvalArithmetic(BinaryOp op, const Value& a, const Value& b,
 }  // namespace
 
 Value BinaryExpr::Eval(const storage::Row& row) const {
-  // Short-circuit boolean operators.
-  if (op_ == BinaryOp::kAnd) {
-    if (!IsTruthy(lhs_->Eval(row))) return Value::Int(0);
-    return Value::Int(IsTruthy(rhs_->Eval(row)) ? 1 : 0);
-  }
-  if (op_ == BinaryOp::kOr) {
-    if (IsTruthy(lhs_->Eval(row))) return Value::Int(1);
-    return Value::Int(IsTruthy(rhs_->Eval(row)) ? 1 : 0);
+  // Boolean connectives: SQL three-valued logic with a short circuit.
+  // FALSE AND x is FALSE and TRUE OR x is TRUE, even when x is NULL;
+  // otherwise a NULL operand makes the result NULL. `decisive` is the
+  // truth value that settles the result on its own.
+  if (op_ == BinaryOp::kAnd || op_ == BinaryOp::kOr) {
+    const bool decisive = op_ == BinaryOp::kOr;
+    const Value a = lhs_->Eval(row);
+    if (!a.is_null() && IsTruthy(a) == decisive) {
+      return Value::Int(decisive ? 1 : 0);
+    }
+    const Value b = rhs_->Eval(row);
+    if (!b.is_null() && IsTruthy(b) == decisive) {
+      return Value::Int(decisive ? 1 : 0);
+    }
+    if (a.is_null() || b.is_null()) return Value::Null();
+    return Value::Int(decisive ? 0 : 1);
   }
 
   const Value a = lhs_->Eval(row);
@@ -142,7 +150,9 @@ std::string BinaryExpr::ToString() const {
 }
 
 Value NotExpr::Eval(const storage::Row& row) const {
-  return Value::Int(IsTruthy(input_->Eval(row)) ? 0 : 1);
+  const Value v = input_->Eval(row);
+  if (v.is_null()) return Value::Null();  // NOT NULL is NULL
+  return Value::Int(IsTruthy(v) ? 0 : 1);
 }
 
 Value NegateExpr::Eval(const storage::Row& row) const {

@@ -178,6 +178,11 @@ inline bool LaneNull(const Slot& s, size_t i) {
   return s.any_null && s.nulls[i] != 0;
 }
 
+/// NULL lane test that also covers a kNull-tagged slot (every lane NULL).
+inline bool SlotLaneNull(const Slot& s, size_t i) {
+  return s.tag == ValueType::kNull || LaneNull(s, i);
+}
+
 /// IsTruthy over a lane: NULLs and strings are never truthy.
 inline bool SlotTruthy(const Slot& s, size_t i) {
   switch (s.tag) {
@@ -337,21 +342,36 @@ bool InterpCompareStrings(OpCode op, const ColumnChunk& chunk,
 
 bool InterpBinary(OpCode op, ValueType node_type, const ColumnChunk& chunk,
                   const Slot& a, const Slot& b, size_t n, Slot* out) {
-  // Boolean connectives first: eager truthiness over already-evaluated
-  // operand slots equals the interpreter's short-circuit result because
-  // expressions are side-effect free; the result is never NULL.
+  // Boolean connectives first, in SQL three-valued logic: a lane where
+  // either operand holds the decisive truth value (FALSE for AND, TRUE for
+  // OR) takes it; otherwise a NULL operand lane makes the lane NULL. Eager
+  // evaluation of both operand slots equals the interpreter's short
+  // circuit because expressions are side-effect free.
   if (op == OpCode::kAnd || op == OpCode::kOr) {
+    const bool decisive = op == OpCode::kOr;
     ResetInt(out, n);
     int64_t* o = out->i64.data();
-    if (op == OpCode::kAnd) {
-      for (size_t i = 0; i < n; ++i) {
-        o[i] = SlotTruthy(a, i) && SlotTruthy(b, i) ? 1 : 0;
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        o[i] = SlotTruthy(a, i) || SlotTruthy(b, i) ? 1 : 0;
+    const bool may_null = a.tag == ValueType::kNull ||
+                          b.tag == ValueType::kNull || a.any_null ||
+                          b.any_null;
+    if (may_null) out->nulls.assign(n, 0);
+    bool any = false;
+    for (size_t i = 0; i < n; ++i) {
+      const bool a_null = SlotLaneNull(a, i);
+      const bool b_null = SlotLaneNull(b, i);
+      if ((!a_null && SlotTruthy(a, i) == decisive) ||
+          (!b_null && SlotTruthy(b, i) == decisive)) {
+        o[i] = decisive ? 1 : 0;
+      } else if (a_null || b_null) {
+        o[i] = 0;
+        out->nulls[i] = 1;
+        any = true;
+      } else {
+        o[i] = decisive ? 0 : 1;
       }
     }
+    out->any_null = any;
+    if (!any) out->nulls.clear();
     return true;
   }
   // A NULL operand makes every lane NULL (arithmetic and comparisons).
@@ -467,9 +487,21 @@ bool InterpBinary(OpCode op, ValueType node_type, const ColumnChunk& chunk,
 }
 
 void InterpNot(const Slot& a, size_t n, Slot* out) {
+  // NOT NULL is NULL: a NULL slot stays NULL, and NULL lanes keep their
+  // mask (and the "null lanes hold 0" invariant).
+  if (a.tag == ValueType::kNull) {
+    ResetNull(out);
+    return;
+  }
   ResetInt(out, n);
   int64_t* o = out->i64.data();
   for (size_t i = 0; i < n; ++i) o[i] = SlotTruthy(a, i) ? 0 : 1;
+  CopyNulls(a, out);
+  if (out->any_null) {
+    for (size_t i = 0; i < n; ++i) {
+      if (out->nulls[i]) o[i] = 0;
+    }
+  }
 }
 
 bool InterpNeg(const Slot& a, size_t n, Slot* out) {

@@ -1,6 +1,7 @@
 #include "fixpoint/distributed_fixpoint.h"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -14,6 +15,7 @@
 #include "dist/set_rdd.h"
 #include "dist/shuffle.h"
 #include "fixpoint/warm_state.h"
+#include "physical/pipeline.h"
 #include "runtime/stage_accumulators.h"
 #include "storage/row_range.h"
 
@@ -36,28 +38,19 @@ using plan::LogicalPlan;
 using plan::PlanKind;
 using plan::RecursiveRefNode;
 using storage::Relation;
-using storage::Row;
 
 namespace {
 
-/// Structural analysis of one recursive branch plan (see DESIGN.md §4).
+/// What the orchestration needs from one recursive branch plan (see
+/// DESIGN.md §4): the join keys that may partition the delta, its
+/// co-partitionable join partner, and the columns it passes through.
 struct StepShape {
-  const RecursiveRefNode* ref = nullptr;
   /// Join keys on the delta side (positions in the view schema); empty
   /// when the reference does not sit directly under a keyed join.
   std::vector<int> delta_keys;
   /// Direct join partner when it is a plain table scan (co-partitionable).
   const plan::TableScanNode* copart_table = nullptr;
   std::vector<int> copart_keys;
-  bool ref_is_left = true;
-  /// Simple pipeline Project(Filter?(Join(ref, scan))) — eligible for the
-  /// fused cached-hash step evaluator.
-  bool simple = false;
-  const plan::ProjectNode* project = nullptr;
-  const plan::FilterNode* filter = nullptr;
-  const plan::JoinNode* join = nullptr;
-  /// Column offset of the reference inside the pipeline's concatenated row.
-  int ref_offset = 0;
   /// Output positions copied verbatim from the same position of the ref —
   /// the partition-preserving columns enabling decomposed evaluation.
   std::vector<int> passthrough;
@@ -87,18 +80,16 @@ StepShape AnalyzeStep(const LogicalPlan& plan) {
   StepShape shape;
   std::vector<const RecursiveRefNode*> refs = CollectRecursiveRefs(plan);
   RASQL_CHECK(refs.size() == 1);
-  shape.ref = refs[0];
+  const RecursiveRefNode* ref = refs[0];
 
   // Walk the pipeline: Project [Filter] <join tree>.
   const LogicalPlan* node = &plan;
+  const plan::ProjectNode* project = nullptr;
   if (node->kind() == PlanKind::kProject) {
-    shape.project = static_cast<const plan::ProjectNode*>(node);
+    project = static_cast<const plan::ProjectNode*>(node);
     node = &node->child(0);
   }
-  if (node->kind() == PlanKind::kFilter) {
-    shape.filter = static_cast<const plan::FilterNode*>(node);
-    node = &node->child(0);
-  }
+  if (node->kind() == PlanKind::kFilter) node = &node->child(0);
   const LogicalPlan* tree = node;
 
   // Find the join whose direct child is the recursive ref.
@@ -106,7 +97,7 @@ StepShape AnalyzeStep(const LogicalPlan& plan) {
       [&](const LogicalPlan& n) -> const plan::JoinNode* {
     if (n.kind() != PlanKind::kJoin) return nullptr;
     const auto& join = static_cast<const plan::JoinNode&>(n);
-    if (&join.child(0) == shape.ref || &join.child(1) == shape.ref) {
+    if (&join.child(0) == ref || &join.child(1) == ref) {
       return &join;
     }
     for (const plan::PlanPtr& child : n.children()) {
@@ -118,34 +109,29 @@ StepShape AnalyzeStep(const LogicalPlan& plan) {
   };
   const plan::JoinNode* parent = find_parent_join(*tree);
   if (parent != nullptr && !parent->is_cross()) {
-    shape.join = parent;
-    shape.ref_is_left = &parent->child(0) == shape.ref;
+    const bool ref_is_left = &parent->child(0) == ref;
     shape.delta_keys =
-        shape.ref_is_left ? parent->left_keys() : parent->right_keys();
+        ref_is_left ? parent->left_keys() : parent->right_keys();
     const LogicalPlan& other =
-        shape.ref_is_left ? parent->child(1) : parent->child(0);
+        ref_is_left ? parent->child(1) : parent->child(0);
     if (other.kind() == PlanKind::kTableScan) {
       shape.copart_table = static_cast<const plan::TableScanNode*>(&other);
       shape.copart_keys =
-          shape.ref_is_left ? parent->right_keys() : parent->left_keys();
+          ref_is_left ? parent->right_keys() : parent->left_keys();
     }
   }
 
-  // Simple fused shape: the join with the ref is the whole tree.
-  shape.simple = shape.project != nullptr && shape.join == tree &&
-                 shape.copart_table != nullptr;
-
+  // Column offset of the reference inside the concatenated input row.
   int offset = 0;
-  if (FindRefOffset(*tree, shape.ref, &offset)) shape.ref_offset = offset;
-
-  if (shape.project != nullptr) {
-    const auto& exprs = shape.project->exprs();
+  const int ref_offset = FindRefOffset(*tree, ref, &offset) ? offset : 0;
+  if (project != nullptr) {
+    const auto& exprs = project->exprs();
     for (size_t i = 0; i < exprs.size(); ++i) {
       if (exprs[i]->kind() == expr::Expr::Kind::kColumnRef) {
         const int g =
             static_cast<const expr::ColumnRefExpr&>(*exprs[i]).index();
-        if (g == shape.ref_offset + static_cast<int>(i) &&
-            static_cast<int>(i) < shape.ref->schema().num_columns()) {
+        if (g == ref_offset + static_cast<int>(i) &&
+            static_cast<int>(i) < ref->schema().num_columns()) {
           shape.passthrough.push_back(static_cast<int>(i));
         }
       }
@@ -154,250 +140,105 @@ StepShape AnalyzeStep(const LogicalPlan& plan) {
   return shape;
 }
 
-/// Evaluates one recursive branch against a delta partition, reusing
-/// per-partition cached join structures across iterations (paper App. D).
+/// The one morsel-splitting predicate (DESIGN.md §10): a branch whose
+/// fused pipeline is driven by the recursive reference walks the delta in
+/// row order against build sides that read no view rows, so delta
+/// sub-ranges evaluate independently and their outputs, concatenated in
+/// range order, equal the whole-delta output.
+bool DrivenByDelta(const std::optional<physical::PipelineProgram>& program) {
+  return program.has_value() &&
+         program->driver().kind() == PlanKind::kRecursiveRef;
+}
+
+/// Evaluates one recursive branch against a partition's delta on the local
+/// engine's fused pipeline (DESIGN.md §18). The branch is compiled once
+/// per evaluation. Its loop-invariant steps — filters, projections and
+/// every build side that reads no recursive reference, hash table included
+/// — are bound once per partition, by the partition's first task, against
+/// that partition's tables: the cached shuffle-hash join of PAPER App. D.
+/// Each delta then binds only the driver and the view-reading build sides
+/// over them, and runs. A branch with no pipeline under the run's join
+/// algorithm runs through physical::Execute.
 class StepEvaluator {
  public:
-  StepEvaluator(const LogicalPlan& plan, StepShape shape,
-                const std::map<std::string, const Relation*>& tables,
-                const DistFixpointOptions& options, int num_partitions,
-                size_t batch_rows)
+  /// `contexts[p]` binds every table scan to what partition p reads: its
+  /// co-partitioned slice or the broadcast whole. It must outlive this.
+  StepEvaluator(const LogicalPlan& plan,
+                std::optional<physical::PipelineProgram> program,
+                const std::vector<physical::ExecContext>& contexts)
       : plan_(&plan),
-        shape_(std::move(shape)),
-        tables_(&tables),
-        options_(options),
-        batch_rows_(batch_rows) {
-    hash_cache_.resize(num_partitions);
-    hash_once_.reserve(num_partitions);
-    for (int p = 0; p < num_partitions; ++p) {
-      hash_once_.push_back(std::make_unique<std::once_flag>());
-    }
-    sorted_cache_.resize(num_partitions);
-    base_rows_cache_.resize(num_partitions);
-    if (shape_.simple) {
-      projector_.emplace(shape_.project->exprs());
-      if (shape_.filter != nullptr) predicate_ = &shape_.filter->predicate();
-    }
-  }
+        program_(std::move(program)),
+        contexts_(&contexts),
+        partitions_(contexts.size()) {}
 
-  /// `base_binding(table_name, partition)` returns the relation a table
-  /// scan should read in this partition (a co-partitioned slice or the
-  /// broadcast whole).
-  using BaseBinding =
-      std::function<const Relation*(const std::string&, int)>;
+  bool DeltaSplittable() const { return DrivenByDelta(program_); }
 
-  /// Appends the branch's output rows over the whole delta to `*out`.
-  Status Eval(const Relation& delta, int partition,
-              const BaseBinding& base_binding, Relation* out) {
-    if (shape_.simple && options_.join_algorithm ==
-                             physical::JoinAlgorithm::kHash) {
-      return EvalFusedHash(delta, {0, delta.size()}, partition, base_binding,
-                           out);
-    }
-    if (shape_.simple &&
-        options_.join_algorithm == physical::JoinAlgorithm::kSortMerge) {
-      return EvalSortMerge(delta, partition, base_binding, out);
-    }
-    return EvalGeneric(delta, partition, base_binding, out);
-  }
-
-  /// True when this step may be evaluated over delta sub-ranges whose
-  /// concatenation (in range order) equals the whole-delta output: the
-  /// fused hash path iterates the delta in row order against a per-
-  /// partition cached build side. Sort-merge re-sorts the delta and the
-  /// generic path hands the whole delta to the executor — neither is
-  /// range-decomposable, so they run as one whole-range sub-task.
-  bool DeltaSplittable() const {
-    return shape_.simple &&
-           options_.join_algorithm == physical::JoinAlgorithm::kHash;
-  }
-
-  /// Range form for morsel sub-tasks. Concurrent sub-tasks of the same
-  /// partition may call this; the per-partition hash-table build is
-  /// guarded by a once_flag and everything else is call-local.
+  /// Appends the branch's output over delta rows `range` to `*out`; only a
+  /// DeltaSplittable branch may take less than the whole delta. Concurrent
+  /// morsel sub-tasks of one partition may call this: they race to the
+  /// partition's invariant bind under a once_flag, then probe it
+  /// read-only, and everything else is call-local.
   Status Eval(const Relation& delta, storage::RowRange range, int partition,
-              const BaseBinding& base_binding, Relation* out) {
-    RASQL_CHECK(DeltaSplittable());
-    return EvalFusedHash(delta, range, partition, base_binding, out);
+              Relation* out) {
+    physical::ExecContext ctx = (*contexts_)[partition];
+    ctx.recursive_resolver =
+        [&delta](const RecursiveRefNode&) -> const Relation* {
+      return &delta;
+    };
+    RASQL_DCHECK(DeltaSplittable() ||
+                 (range.begin == 0 && range.end >= delta.size()));
+    if (!program_.has_value()) {
+      RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*plan_, ctx));
+      out->AppendChunks(std::move(rel));
+      return Status::OK();
+    }
+    Partition& part = partitions_[partition];
+    std::call_once(part.bind_once, [&] {
+      Result<physical::BoundPipeline> bound =
+          program_->BindInvariant((*contexts_)[partition]);
+      if (bound.ok()) {
+        part.invariant = std::move(*bound);
+      } else {
+        part.bind_status = bound.status();
+      }
+    });
+    RASQL_RETURN_IF_ERROR(part.bind_status);
+    // A pipeline over an empty delta emits nothing; skipping it also skips
+    // building a view-reading side, as the local engine does.
+    if (delta.empty()) return Status::OK();
+    RASQL_ASSIGN_OR_RETURN(physical::BoundPipeline pipeline,
+                           program_->Bind(ctx, &*part.invariant));
+    part.bind_builds.fetch_add(pipeline.hash_builds(),
+                               std::memory_order_relaxed);
+    // The range addresses delta rows, which drive only a splittable
+    // branch; any other branch runs its whole driver.
+    return DeltaSplittable() ? pipeline.Run(range, out) : pipeline.RunAll(out);
   }
 
-  /// Partitions whose build-side hash table has been built (and cached).
+  /// Join hash tables built (FixpointStats::hash_builds): every
+  /// partition's invariant build sides, plus one per bind for each build
+  /// side that reads the view. Call after the run.
   size_t hash_builds() const {
-    return static_cast<size_t>(
-        std::count_if(hash_cache_.begin(), hash_cache_.end(),
-                      [](const auto& table) { return table != nullptr; }));
+    size_t total = 0;
+    for (const Partition& part : partitions_) {
+      if (part.invariant.has_value()) total += part.invariant->hash_builds();
+      total += part.bind_builds.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
  private:
-  Status EvalFusedHash(const Relation& delta, storage::RowRange range,
-                       int partition, const BaseBinding& base_binding,
-                       Relation* out) {
-    const Relation* base =
-        base_binding(shape_.copart_table->table_name(), partition);
-    if (base == nullptr) {
-      return Status::ExecutionError("missing base binding for '" +
-                                    shape_.copart_table->table_name() + "'");
-    }
-    // Build the base-side hash table once per partition and reuse it in
-    // every iteration (the cached shuffle-hash join of App. D). call_once
-    // because same-partition morsel sub-tasks may race to build it.
-    std::call_once(*hash_once_[partition], [&] {
-      hash_cache_[partition] = std::make_unique<physical::JoinHashTable>(
-          *base, shape_.copart_keys);
-    });
-    const physical::JoinHashTable& table = *hash_cache_[partition];
-
-    std::vector<int> matches;
-    Row projected;
-    const int ref_width = shape_.ref->schema().num_columns();
-    const int base_width = base->schema().num_columns();
-    Row combined(ref_width + base_width);
-    const int ref_at = shape_.ref_is_left ? 0 : base_width;
-    const int base_at = shape_.ref_is_left ? ref_width : 0;
-    const size_t end = std::min(range.end, delta.size());
-    for (size_t i = range.begin; i < end; ++i) {
-      matches.clear();
-      // Column-wise probe: the key cells hash straight out of the delta's
-      // chunks; the delta row is copied into `combined` only on a match.
-      table.ProbeAt(delta, i, shape_.delta_keys, &matches);
-      if (matches.empty()) continue;
-      delta.CopyRowTo(i, &combined, static_cast<size_t>(ref_at));
-      for (int m : matches) {
-        base->CopyRowTo(static_cast<size_t>(m), &combined,
-                        static_cast<size_t>(base_at));
-        if (predicate_ != nullptr &&
-            !expr::IsTruthy(predicate_->Eval(combined))) {
-          continue;
-        }
-        projector_->EvalInto(combined, &projected);
-        out->AppendRow(projected);
-      }
-    }
-    return Status::OK();
-  }
-
-  Status EvalSortMerge(const Relation& delta, int partition,
-                       const BaseBinding& base_binding, Relation* out) {
-    const Relation* base =
-        base_binding(shape_.copart_table->table_name(), partition);
-    if (base == nullptr) {
-      return Status::ExecutionError("missing base binding for '" +
-                                    shape_.copart_table->table_name() + "'");
-    }
-    // Sort (and materialize) the base side once per partition; sort the
-    // delta every iteration (this is why sort-merge loses to cached
-    // shuffle-hash in Fig. 11 while using less memory).
-    if (sorted_cache_[partition].empty() && !base->empty()) {
-      base_rows_cache_[partition] = base->MaterializeRows();
-      const std::vector<Row>& brows = base_rows_cache_[partition];
-      auto& order = sorted_cache_[partition];
-      order.resize(base->size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return KeyLess(brows[a], shape_.copart_keys, brows[b],
-                       shape_.copart_keys);
-      });
-    }
-    const std::vector<Row>& base_rows = base_rows_cache_[partition];
-    std::vector<Row> delta_rows = delta.MaterializeRows();
-    std::vector<const Row*> deltas;
-    deltas.reserve(delta_rows.size());
-    for (const Row& d : delta_rows) deltas.push_back(&d);
-    std::sort(deltas.begin(), deltas.end(), [&](const Row* a, const Row* b) {
-      return KeyLess(*a, shape_.delta_keys, *b, shape_.delta_keys);
-    });
-
-    const int ref_width = shape_.ref->schema().num_columns();
-    const int base_width = base->schema().num_columns();
-    Row combined(ref_width + base_width);
-    Row projected;
-    const int ref_at = shape_.ref_is_left ? 0 : base_width;
-    const int base_at = shape_.ref_is_left ? ref_width : 0;
-    const auto& order = sorted_cache_[partition];
-    size_t i = 0;
-    size_t j = 0;
-    while (i < deltas.size() && j < order.size()) {
-      const Row& d = *deltas[i];
-      const Row& b = base_rows[order[j]];
-      if (KeyLess(d, shape_.delta_keys, b, shape_.copart_keys)) {
-        ++i;
-      } else if (KeyLess(b, shape_.copart_keys, d, shape_.delta_keys)) {
-        ++j;
-      } else {
-        size_t j_end = j;
-        while (j_end < order.size() &&
-               !KeyLess(b, shape_.copart_keys, base_rows[order[j_end]],
-                        shape_.copart_keys) &&
-               !KeyLess(base_rows[order[j_end]], shape_.copart_keys, b,
-                        shape_.copart_keys)) {
-          ++j_end;
-        }
-        size_t i_end = i;
-        while (i_end < deltas.size() &&
-               !KeyLess(d, shape_.delta_keys, *deltas[i_end],
-                        shape_.delta_keys) &&
-               !KeyLess(*deltas[i_end], shape_.delta_keys, d,
-                        shape_.delta_keys)) {
-          ++i_end;
-        }
-        for (size_t a = i; a < i_end; ++a) {
-          std::copy(deltas[a]->begin(), deltas[a]->end(),
-                    combined.begin() + ref_at);
-          for (size_t bb = j; bb < j_end; ++bb) {
-            const Row& br = base_rows[order[bb]];
-            std::copy(br.begin(), br.end(), combined.begin() + base_at);
-            if (predicate_ != nullptr &&
-                !expr::IsTruthy(predicate_->Eval(combined))) {
-              continue;
-            }
-            projector_->EvalInto(combined, &projected);
-            out->AppendRow(projected);
-          }
-        }
-        i = i_end;
-        j = j_end;
-      }
-    }
-    return Status::OK();
-  }
-
-  Status EvalGeneric(const Relation& delta, int partition,
-                     const BaseBinding& base_binding, Relation* out) {
-    physical::ExecContext ctx;
-    ctx.batch_rows = batch_rows_;
-    ctx.join_algorithm = options_.join_algorithm;
-    for (const auto& [name, rel] : *tables_) {
-      const Relation* bound = base_binding(name, partition);
-      ctx.tables[name] = bound != nullptr ? bound : rel;
-    }
-    ctx.recursive_resolver =
-        [&](const RecursiveRefNode&) -> const Relation* { return &delta; };
-    RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*plan_, ctx));
-    out->AppendChunks(std::move(rel));
-    return Status::OK();
-  }
-
-  static bool KeyLess(const Row& a, const std::vector<int>& ak, const Row& b,
-                      const std::vector<int>& bk) {
-    for (size_t i = 0; i < ak.size(); ++i) {
-      const int c = a[ak[i]].Compare(b[bk[i]]);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  }
+  struct Partition {
+    std::once_flag bind_once;
+    Status bind_status;
+    std::optional<physical::BoundPipeline> invariant;
+    std::atomic<size_t> bind_builds{0};
+  };
 
   const LogicalPlan* plan_;
-  StepShape shape_;
-  const std::map<std::string, const Relation*>* tables_;
-  DistFixpointOptions options_;
-  size_t batch_rows_ = 0;
-  std::optional<physical::ProjectionEvaluator> projector_;
-  const expr::Expr* predicate_ = nullptr;
-  std::vector<std::unique_ptr<physical::JoinHashTable>> hash_cache_;
-  std::vector<std::unique_ptr<std::once_flag>> hash_once_;
-  std::vector<std::vector<size_t>> sorted_cache_;
-  /// Materialized base rows per partition, built alongside sorted_cache_.
-  std::vector<std::vector<Row>> base_rows_cache_;
+  std::optional<physical::PipelineProgram> program_;
+  const std::vector<physical::ExecContext>* contexts_;
+  std::vector<Partition> partitions_;
 };
 
 bool IsSubset(const std::vector<int>& sub, const std::vector<int>& super) {
@@ -416,11 +257,14 @@ constexpr verify::AccessMode kPartitionOwned =
 constexpr verify::AccessMode kSplitSlotOwned =
     verify::AccessMode::kSplitSlotOwned;
 
-/// The public DistOrchestration plus the per-branch shapes the evaluator
-/// needs to build its step evaluators.
+/// The public DistOrchestration plus the per-branch shapes and compiled
+/// pipelines the evaluator builds its step evaluators from.
 struct Orchestration {
   DistOrchestration pub;
   std::vector<StepShape> shapes;
+  /// Each branch compiled under the run's join algorithm; nullopt runs
+  /// interpreted.
+  std::vector<std::optional<physical::PipelineProgram>> programs;
   /// Tables shuffled into co-partitioned slices (set form of
   /// pub.copartitioned, for membership tests).
   std::set<std::string> copart_names;
@@ -441,6 +285,8 @@ Result<Orchestration> Analyze(const RecursiveClique& clique,
   orch.shapes.reserve(view.recursive_plans.size());
   for (const plan::PlanPtr& p : view.recursive_plans) {
     orch.shapes.push_back(AnalyzeStep(*p));
+    orch.programs.push_back(
+        physical::PipelineProgram::Compile(*p, options.join_algorithm));
   }
   const std::vector<StepShape>& shapes = orch.shapes;
 
@@ -525,14 +371,9 @@ Result<Orchestration> Analyze(const RecursiveClique& clique,
   for (const auto& [name, scan_count] : orch.scanned) {
     if (!orch.copart_names.count(name)) orch.pub.broadcast.push_back(name);
   }
-  for (const StepShape& shape : shapes) {
-    // Mirrors StepEvaluator::DeltaSplittable(): the fused hash path is the
-    // one that may evaluate delta sub-ranges independently.
-    if (shape.simple &&
-        options.join_algorithm == physical::JoinAlgorithm::kHash) {
-      orch.pub.delta_splittable = true;
-    }
-  }
+  orch.pub.delta_splittable =
+      std::any_of(orch.programs.begin(), orch.programs.end(),
+                  [](const auto& program) { return DrivenByDelta(program); });
   return orch;
 }
 
@@ -632,20 +473,23 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     }
   }
 
-  auto base_binding = [&](const std::string& name,
-                          int partition) -> const Relation* {
-    auto cit = coparted.find(name);
-    if (cit != coparted.end()) return &cit->second.partition(partition);
-    auto it = tables.find(name);
-    return it == tables.end() ? nullptr : it->second;
-  };
-
-  // ---- Step evaluators (cached hash tables / sort orders). ----
+  // ---- Step evaluators over each partition's tables: its co-partitioned
+  // slices plus the broadcast relations. ----
+  std::vector<physical::ExecContext> step_contexts(P);
+  for (int p = 0; p < P; ++p) {
+    physical::ExecContext& ctx = step_contexts[p];
+    ctx.tables = tables;
+    for (const auto& [name, rel] : coparted) {
+      ctx.tables[name] = &rel.partition(p);
+    }
+    ctx.batch_rows = cluster->runtime_options().batch_rows;
+    ctx.join_algorithm = options.join_algorithm;
+  }
   std::vector<StepEvaluator> steps;
   steps.reserve(view.recursive_plans.size());
   for (size_t i = 0; i < view.recursive_plans.size(); ++i) {
-    steps.emplace_back(*view.recursive_plans[i], shapes[i], tables, options,
-                       P, cluster->runtime_options().batch_rows);
+    steps.emplace_back(*view.recursive_plans[i], std::move(orch.programs[i]),
+                       step_contexts);
   }
 
   // ---- Base case: evaluate on the driver, then scatter by K. ----
@@ -701,7 +545,6 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   // shared mutable state is limited to partition-owned slots (delta[p],
   // all.partition(p), writes[p], per-partition evaluator caches) plus the
   // StageCounter/StageStatus accumulators above.
-  const bool det_reduce = cluster->runtime_options().deterministic_reduce;
 
   // Seed stages: input splits shuffle the base case to its partitions.
   // Submitted as a pair so the async pipeline can start merging a
@@ -757,7 +600,8 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   auto eval_step_for_partition = [&](int p, Relation* out) -> Status {
     const Relation delta_rel = std::exchange(delta[p], Relation(view.schema));
     for (StepEvaluator& step : steps) {
-      RASQL_RETURN_IF_ERROR(step.Eval(delta_rel, p, base_binding, out));
+      RASQL_RETURN_IF_ERROR(
+          step.Eval(delta_rel, {0, delta_rel.size()}, p, out));
     }
     return Status::OK();
   };
@@ -777,7 +621,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     // partition's total time. This is also the embarrassingly parallel
     // case for the real runtime: partitions never exchange rows.
     StageStatus failure(P);
-    StageCounter delta_rows(P, det_reduce);
+    StageCounter delta_rows(P);
     std::vector<int> task_iterations(P, 0);
     std::vector<uint8_t> task_hit_limit(P, 0);
     StageSpec decomposed_stage;
@@ -869,7 +713,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       const int next = 1 - cur;
       channels[next].Reset();
       StageStatus failure(P);
-      StageCounter delta_rows(P, det_reduce);
+      StageCounter delta_rows(P);
       StageSpec iter_stage;
       iter_stage.name = "iter-" + std::to_string(stats->iterations);
       iter_stage.kind = StageSpec::Kind::kCombined;
@@ -912,7 +756,8 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     // refill it (reduce p depends on all P map slices), so the pair is
     // safe to overlap. One channel is reused across iterations.
     //
-    // With `runtime.morsel_rows > 0` the map stage instead goes through
+    // With `runtime.morsel_rows > 0` and a branch driven by the delta
+    // (StepEvaluator::DeltaSplittable) the map stage instead goes through
     // the split RunStage overload (DESIGN.md §10): each partition's delta
     // is frozen driver-side, cut into (step, morsel) sub-tasks that
     // evaluate into partition×sub-task-owned slots, and the per-partition
@@ -934,7 +779,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
       first_iteration = false;
 
       StageStatus failure(P);
-      StageCounter delta_rows(P, det_reduce);
+      StageCounter delta_rows(P);
       StageSpec map_stage;
       map_stage.name = "map-" + std::to_string(stats->iterations);
       map_stage.kind = StageSpec::Kind::kShuffleMap;
@@ -958,7 +803,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
         ctx.Count(delta[p].size());
       };
 
-      if (morsel_rows == 0) {
+      if (morsel_rows == 0 || !orch.pub.delta_splittable) {
         map_stage.Claim(&delta, kPartitionOwned, "delta")
             .Claim(&steps, kPartitionOwned, "step-caches")
             .Claim(&coparted, kReadShared, "coparted-base");
@@ -1016,7 +861,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
         // Sub-tasks evaluate frozen deltas into their own (partition,
         // sub-task) slots; the per-partition step caches are shared by a
         // partition's sub-tasks but internally synchronized (once_flag
-        // builds), so they count as partition-owned.
+        // invariant binds), so they count as partition-owned.
         map_stage.Claim(&frozen, kReadShared, "frozen-delta")
             .Claim(&sub, kReadShared, "sub-plan")
             .Claim(&slots, kSplitSlotOwned, "morsel-slots")
@@ -1033,12 +878,8 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
               const int p = ctx.partition();
               const int j = ctx.split_index();
               const SubTask& t = sub[p][j];
-              StepEvaluator& step = steps[t.step];
               sub_status[p][j] =
-                  step.DeltaSplittable()
-                      ? step.Eval(frozen[p], t.range, p, base_binding,
-                                  &slots[p][j])
-                      : step.Eval(frozen[p], p, base_binding, &slots[p][j]);
+                  steps[t.step].Eval(frozen[p], t.range, p, &slots[p][j]);
             },
             // Finalize: the only reporting task of the partition.
             [&](TaskContext& ctx) {

@@ -54,8 +54,10 @@ struct DistOrchestration {
   std::vector<std::string> copartitioned;
   /// Base tables broadcast whole to every worker.
   std::vector<std::string> broadcast;
-  /// True when at least one recursive branch is morsel-decomposable, so
-  /// `runtime.morsel_rows > 0` turns the plain map stage into a split DAG.
+  /// True when at least one recursive branch's fused pipeline is driven
+  /// by the recursive reference, so its delta splits into morsels and
+  /// `runtime.morsel_rows > 0` turns the plain map stage into a split DAG
+  /// (DESIGN.md §10). The live evaluator and EXPLAIN STAGES both read it.
   bool delta_splittable = false;
 };
 

@@ -91,14 +91,16 @@ struct FixpointStats {
   /// base plans once plus every recursive plan per iteration; local
   /// semi-naive: base plans plus one execution per (non-empty delta
   /// partition × semi-naive term) per iteration; distributed: driver-side
-  /// base/seed executions (per-partition step evaluation goes through
-  /// cached StepEvaluators, not the executor).
+  /// base/seed executions (per-partition steps run their bound pipelines,
+  /// counted by the cluster's stages instead).
   size_t plan_executions = 0;
-  /// Join hash tables built for recursive-step build sides (PAPER App. D).
-  /// Local: each recursive plan's loop-invariant build sides once per
-  /// evaluation, plus one per unit for every build side that reads the view
-  /// (DESIGN.md §18); distributed: the StepEvaluators' per-partition cache
-  /// fills. Interpreted fallbacks inside physical::Execute are not counted.
+  /// Join hash tables built for recursive-step build sides (PAPER App. D),
+  /// with one definition in both engines (DESIGN.md §18): the
+  /// loop-invariant build sides once per binding — per evaluation locally,
+  /// per partition distributed — plus one per bind for every build side
+  /// that reads the view. Plans that run interpreted inside
+  /// physical::Execute (sort-merge probe chains, unfusable plans) are not
+  /// counted.
   size_t hash_builds = 0;
   bool hit_iteration_limit = false;
   bool used_semi_naive = false;

@@ -87,8 +87,7 @@ ExecContext BaseContext(const std::map<std::string, const Relation*>& tables,
 /// first time the plan has a unit, and borrowed read-only by every unit of
 /// every later iteration: the cached build side of PAPER App. D. No
 /// `program` means the plan runs interpreted: it does not compile to a
-/// pipeline, or it probes under sort-merge (the Fig. 11 ablation keeps the
-/// tree walk's merge join).
+/// pipeline under the run's join algorithm (PipelineProgram::Compile).
 struct CompiledPlan {
   const LogicalPlan* plan = nullptr;
   std::optional<physical::PipelineProgram> program;
@@ -97,16 +96,11 @@ struct CompiledPlan {
 
 CompiledPlan CompilePlan(const LogicalPlan& plan,
                          const FixpointOptions& options) {
-  CompiledPlan out;
-  out.plan = &plan;
   // A pipeline's rows and order match the interpreted tree walk
   // (executor_test pins this).
-  out.program = physical::PipelineProgram::Compile(plan);
-  if (out.program.has_value() && out.program->has_probe_steps() &&
-      options.join_algorithm != physical::JoinAlgorithm::kHash) {
-    out.program.reset();
-  }
-  return out;
+  return {&plan,
+          physical::PipelineProgram::Compile(plan, options.join_algorithm),
+          std::nullopt};
 }
 
 /// One plan evaluation, morsel-splittable when its plan compiled to a

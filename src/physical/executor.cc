@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "expr/int64_arith.h"
 #include "expr/vec_program.h"
 #include "physical/pipeline.h"
 
@@ -69,13 +70,6 @@ void JoinHashTable::ProbeChunk(const storage::ColumnChunk& chunk, size_t row,
     }
     if (eq) out->push_back(i);
   }
-}
-
-void JoinHashTable::ProbeAt(const Relation& probe, size_t row,
-                            const std::vector<int>& probe_keys,
-                            std::vector<int>* out) const {
-  const storage::RowAccessor acc = probe.row(row);
-  ProbeChunk(acc.chunk(), acc.chunk_row(), probe_keys, out);
 }
 
 Row ProjectionEvaluator::Eval(const Row& input) const {
@@ -329,7 +323,7 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
           acc = std::move(arg);
         } else if (acc.type() == ValueType::kInt64 &&
                    arg.type() == ValueType::kInt64) {
-          acc = Value::Int(acc.AsInt() + arg.AsInt());
+          acc = Value::Int(expr::WrapAdd(acc.AsInt(), arg.AsInt()));
         } else {
           acc = Value::Double(acc.AsNumeric() + arg.AsNumeric());
         }
@@ -512,7 +506,7 @@ Result<BorrowedRelation> ExecAggregate(const plan::AggregateNode& node,
           case Mode::kSumI64: {
             const int64_t raw = arg_i64(chunk, j, r);
             acc = acc.is_null() ? Value::Int(raw)
-                                : Value::Int(acc.AsInt() + raw);
+                                : Value::Int(expr::WrapAdd(acc.AsInt(), raw));
             break;
           }
           case Mode::kMinI64: {
@@ -758,16 +752,14 @@ Result<BorrowedRelation> Exec(const LogicalPlan& node, const ExecContext& ctx,
                               bool fuse) {
   // Whole-stage fusion: compile the filter/probe/project chain rooted here
   // into one pipeline and run it over the full driver — no per-node
-  // intermediates. Probe steps reproduce the *hash* join's row order, so a
-  // sort-merge context only fuses probe-free chains; the tree walk below
-  // stays the oracle either way.
+  // intermediates. Under sort-merge only probe-free chains compile; the
+  // tree walk below stays the oracle either way.
   if (fuse &&
       (node.kind() == PlanKind::kProject || node.kind() == PlanKind::kFilter ||
        node.kind() == PlanKind::kJoin)) {
-    std::optional<PipelineProgram> program = PipelineProgram::Compile(node);
-    if (program.has_value() &&
-        (!program->has_probe_steps() ||
-         ctx.join_algorithm == JoinAlgorithm::kHash)) {
+    std::optional<PipelineProgram> program =
+        PipelineProgram::Compile(node, ctx.join_algorithm);
+    if (program.has_value()) {
       RASQL_ASSIGN_OR_RETURN(BoundPipeline pipeline, program->Bind(ctx));
       Relation rows(node.schema());
       RASQL_RETURN_IF_ERROR(pipeline.RunAll(&rows));

@@ -114,11 +114,6 @@ class JoinHashTable {
                   const std::vector<int>& probe_keys,
                   std::vector<int>* out) const;
 
-  /// ProbeChunk addressed by a relation-global row index.
-  void ProbeAt(const storage::Relation& probe, size_t row,
-               const std::vector<int>& probe_keys,
-               std::vector<int>* out) const;
-
   const storage::Relation* build_side() const { return build_; }
   const std::vector<int>& key_columns() const { return key_columns_; }
   size_t num_buckets() const { return buckets_; }

@@ -31,7 +31,7 @@ bool ReadsRecursiveRef(const LogicalPlan& node) {
 }  // namespace
 
 std::optional<PipelineProgram> PipelineProgram::Compile(
-    const LogicalPlan& plan) {
+    const LogicalPlan& plan, JoinAlgorithm join_algorithm) {
   PipelineProgram program;
   // Walk the left spine root-to-leaf, collecting steps in reverse.
   std::vector<Step> reversed;
@@ -56,13 +56,14 @@ std::optional<PipelineProgram> PipelineProgram::Compile(
       }
       case PlanKind::kJoin: {
         const auto& join = static_cast<const plan::JoinNode&>(*node);
-        if (join.is_cross()) return std::nullopt;
+        if (join.is_cross() || join_algorithm != JoinAlgorithm::kHash) {
+          return std::nullopt;
+        }
         Step step;
         step.kind = Step::Kind::kHashProbe;
         step.join = &join;
         step.invariant = !ReadsRecursiveRef(join.child(1));
         reversed.push_back(step);
-        ++program.num_probe_steps_;
         node = &node->child(0);
         break;
       }
@@ -209,16 +210,6 @@ void BoundPipeline::PushRow(const Row& row, size_t step,
 }
 
 Status BoundPipeline::Run(RowRange range, Relation* sink) const {
-  if (batch_rows_ > 0) return RunBatch(range, sink);
-  const size_t end = std::min(range.end, driver_.rel->size());
-  std::vector<StepScratch> scratch = NewScratch();
-  driver_.rel->ForEachRow(
-      RowRange{range.begin, end},
-      [&](const Row& row) { PushRow(row, 0, &scratch, sink); });
-  return Status::OK();
-}
-
-Status BoundPipeline::RunBatch(RowRange range, Relation* sink) const {
   const Relation& driver = *driver_.rel;
   const size_t end = std::min(range.end, driver.size());
   if (range.begin >= end) return Status::OK();
@@ -226,7 +217,6 @@ Status BoundPipeline::RunBatch(RowRange range, Relation* sink) const {
   std::vector<StepScratch> scratch = NewScratch();
   Row row_scratch;
   std::vector<uint32_t> sel;
-  sel.reserve(batch_rows_);
   expr::VecProgram::Scratch vec_scratch;
 
   size_t i = range.begin;
@@ -237,8 +227,11 @@ Status BoundPipeline::RunBatch(RowRange range, Relation* sink) const {
     const storage::ColumnChunk& chunk = driver.chunk(c);
     const size_t chunk_begin = driver.chunk_begin(c);
     const size_t local_end = std::min(end - chunk_begin, chunk.num_rows());
+    // Row mode takes the chunk as one batch; its filters compiled no batch
+    // kernel, so the walk goes straight to the probe or the interpreter.
+    const size_t batch = batch_rows_ > 0 ? batch_rows_ : local_end;
     while (local < local_end) {
-      const size_t batch_end = std::min(local_end, local + batch_rows_);
+      const size_t batch_end = std::min(local_end, local + batch);
       sel.clear();
       for (size_t r = local; r < batch_end; ++r) {
         sel.push_back(static_cast<uint32_t>(r));

@@ -25,23 +25,29 @@ class BoundPipeline;
 /// child as a materialized build side; the left child stays on the spine,
 /// so the driver is the leftmost leaf and the pipeline is linear in it.
 ///
-/// Compilation is context-free (plan shape only) and cheap; do it once per
-/// plan and Bind() per evaluation context. The interpreted tree walk in
-/// executor.cc remains the oracle: for any plan the pipeline produces the
-/// same rows in the same order (probe-major driver order, build matches in
-/// JoinHashTable::Probe order — exactly the tree walk's hash-join order).
+/// Compilation depends only on the plan shape and the join algorithm and
+/// is cheap; do it once per plan and Bind() per evaluation context. The
+/// interpreted tree walk in executor.cc remains the oracle: for any plan
+/// the pipeline produces the same rows in the same order (probe-major
+/// driver order, build matches in JoinHashTable::Probe order — exactly
+/// the tree walk's hash-join order).
 ///
 /// A step is loop-invariant when nothing it binds reads the fixpoint
 /// state: every filter and projection, and every probe whose build subtree
-/// holds no RecursiveRefNode. A fixpoint binds those steps once per
-/// evaluation (BindInvariant) and shares them with every per-unit Bind —
-/// the cached build side of PAPER App. D (DESIGN.md §18).
+/// holds no RecursiveRefNode. The local fixpoint binds those steps once
+/// per evaluation and the distributed one once per partition
+/// (BindInvariant), and each shares them with every per-delta Bind — the
+/// cached build side of PAPER App. D (DESIGN.md §18).
 class PipelineProgram {
  public:
   /// Returns the compiled pipeline, or nullopt when the plan is not a
   /// fusable chain (cross joins, aggregates/sorts/limits on the spine, or
-  /// a bare leaf with no steps to fuse).
-  static std::optional<PipelineProgram> Compile(const plan::LogicalPlan& plan);
+  /// a bare leaf with no steps to fuse). Probe steps replicate the tree
+  /// walk's *hash* join order, so under any other `join_algorithm` a chain
+  /// with a join does not fuse either: it runs the tree walk's merge join
+  /// (the Fig. 11 ablation). This is the one place that rule lives.
+  static std::optional<PipelineProgram> Compile(const plan::LogicalPlan& plan,
+                                                JoinAlgorithm join_algorithm);
 
   /// Resolves the driver and build sides against `ctx`, builds the join
   /// hash tables and expression evaluators. The returned pipeline borrows
@@ -61,10 +67,6 @@ class PipelineProgram {
   /// the `invariant` argument of later Binds.
   common::Result<BoundPipeline> BindInvariant(const ExecContext& ctx) const;
 
-  /// True when the pipeline contains at least one join probe. Probe steps
-  /// replicate the tree walk's *hash* join order; callers running under
-  /// sort-merge must fall back to the tree walk when this is set.
-  bool has_probe_steps() const { return num_probe_steps_ > 0; }
   const plan::LogicalPlan& driver() const { return *driver_; }
   size_t num_steps() const { return steps_.size(); }
 
@@ -80,7 +82,6 @@ class PipelineProgram {
   };
   const plan::LogicalPlan* driver_ = nullptr;
   std::vector<Step> steps_;  ///< driver-to-root order
-  int num_probe_steps_ = 0;
 };
 
 /// A PipelineProgram bound to one evaluation context: driver and build
@@ -90,17 +91,17 @@ class PipelineProgram {
 /// disjoint RowRanges of the same driver, and its bound steps may be
 /// borrowed read-only by concurrent pipelines over other drivers.
 ///
-/// Two execution modes share the Run() entry point (DESIGN.md §13, §15).
-/// The interpreted mode materializes each driver row and pushes it through
-/// the steps. Batch mode (ExecContext::batch_rows > 0) walks the driver's
-/// column chunks directly: leading filters run arbitrary predicates —
-/// conjunctions, col-vs-col, arithmetic subexpressions, dictionary-aware
-/// string equality — as expr::VecProgram selection-vector kernels (a chunk
-/// the kernels cannot mirror exactly falls back to the row interpreter
-/// mid-pipeline), and a leading hash-probe extracts its key column-wise,
-/// materializing a row only when the build side matches. Both modes emit
-/// identical rows in identical order — the interpreter is the row-for-row
-/// oracle.
+/// Run() is one loop over the driver's column chunks (DESIGN.md §13, §15).
+/// It cuts each chunk into batches of ExecContext::batch_rows rows, or
+/// takes the whole chunk as one batch in row mode (batch_rows == 0). In
+/// batch mode leading filters run arbitrary predicates — conjunctions,
+/// col-vs-col, arithmetic subexpressions, dictionary-aware string
+/// equality — as expr::VecProgram selection-vector kernels (a chunk the
+/// kernels cannot mirror exactly falls back to the row interpreter
+/// mid-pipeline). In both modes a leading hash-probe extracts its key
+/// column-wise, materializing a row only when the build side matches, and
+/// every later step runs the row interpreter. Both modes emit identical
+/// rows in identical order — the interpreter is the row-for-row oracle.
 class BoundPipeline {
  public:
   BoundPipeline() = default;
@@ -159,9 +160,6 @@ class BoundPipeline {
   void PushRow(const storage::Row& row, size_t step,
                std::vector<StepScratch>* scratch,
                storage::Relation* sink) const;
-
-  common::Status RunBatch(storage::RowRange range,
-                          storage::Relation* sink) const;
 
   BorrowedRelation driver_;
   /// Per step: built by this bind (held in `owned_steps_`) or, when

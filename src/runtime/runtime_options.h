@@ -20,15 +20,6 @@ struct RuntimeOptions {
   /// per hardware thread.
   int num_threads = 1;
 
-  /// When true (default), shared per-stage accumulators (delta-row counts,
-  /// failure statuses) are collected into per-task slots and reduced after
-  /// the stage barrier in ascending partition order, so every driver-side
-  /// value is bit-identical for any thread count. When false, accumulators
-  /// are relaxed atomics updated in task-completion order — same totals,
-  /// no post-pass. Query *results* are identical either way: relation
-  /// state is always partition-owned and merged in partition order.
-  bool deterministic_reduce = true;
-
   /// Pipeline shuffles: when a map stage and its consuming reduce stage are
   /// submitted together (Cluster::RunStagePair), enqueue the reduce tasks
   /// with per-slice dependencies on the map tasks and release each one as

@@ -14,34 +14,24 @@ namespace rasql::runtime {
 // the work-stealing runtime, so anything shared across partitions goes
 // through one of these instead of a bare captured variable. ----
 
-/// Counter updated from concurrent tasks. With deterministic_reduce (the
-/// default) each task owns a slot and the driver sums the slots after the
-/// stage barrier in ascending partition order; otherwise a relaxed atomic
-/// accumulates in task-completion order. The total is identical either way
-/// — the knob trades an O(P) post-pass for lock-free accumulation.
+/// Counter updated from concurrent tasks. Each task owns a slot and the
+/// driver sums the slots after the stage barrier in ascending partition
+/// order, so the total is bit-identical at any thread count.
 class StageCounter {
  public:
-  StageCounter(int num_tasks, bool deterministic)
-      : slots_(deterministic ? num_tasks : 0, 0) {}
+  explicit StageCounter(int num_tasks) : slots_(num_tasks, 0) {}
 
-  void Add(int p, size_t n) {
-    if (slots_.empty()) {
-      atomic_.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      slots_[p] += n;
-    }
-  }
+  void Add(int p, size_t n) { slots_[p] += n; }
 
   /// Post-barrier total; call only after the stage completes.
   size_t Total() const {
-    size_t total = atomic_.load(std::memory_order_relaxed);
+    size_t total = 0;
     for (size_t s : slots_) total += s;
     return total;
   }
 
  private:
   std::vector<size_t> slots_;
-  std::atomic<size_t> atomic_{0};
 };
 
 /// Per-task failure slots plus a shared abort flag. Each task records its

@@ -319,7 +319,8 @@ TEST(BatchPipelineTest, DoubleColumnsVectorizeIdentically) {
 TEST(BatchPipelineTest, MorselRangesStraddlingChunksConcatenate) {
   Relation edges = BigEdges();
   PlanPtr plan = FilterJoinProjectPlan();
-  auto program = PipelineProgram::Compile(*plan);
+  auto program =
+      PipelineProgram::Compile(*plan, physical::JoinAlgorithm::kHash);
   ASSERT_TRUE(program.has_value());
   ExecContext ctx;
   ctx.tables["edge"] = &edges;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "dist/aggregates.h"
@@ -482,6 +483,28 @@ TEST(AggregatesTest, PartialAggregateSetDedups) {
   AggSpec spec = AggSpec::For(1, -1, AggregateFunction::kNone);
   const Relation rows = MakeIntRelation({"X"}, {{1}, {1}, {2}});
   EXPECT_EQ(PartialAggregate(rows, spec).size(), 2u);
+}
+
+TEST(AggregatesTest, Int64SumWrapsPastInt64Max) {
+  // int64 sum()/count() contributions wrap in two's complement, like
+  // expression arithmetic (expr/int64_arith.h), instead of overflowing.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(CombineAgg(AggregateFunction::kSum, Value::Int(kMax),
+                       Value::Int(1))
+                .AsInt(),
+            kMin);
+  EXPECT_EQ(CombineAgg(AggregateFunction::kCount, Value::Int(kMax),
+                       Value::Int(2))
+                .AsInt(),
+            kMin + 1);
+  AggSpec spec = AggSpec::For(2, 1, AggregateFunction::kSum);
+  const Relation rows =
+      MakeIntRelation({"K", "V"}, {{1, kMax}, {2, 5}, {1, 1}});
+  const Relation out = PartialAggregate(rows, spec);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.GetRow(0), (Row{Value::Int(1), Value::Int(kMin)}));
+  EXPECT_EQ(out.GetRow(1), (Row{Value::Int(2), Value::Int(5)}));
 }
 
 TEST(SetRddTest, SetSemanticsDelta) {

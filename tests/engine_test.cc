@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <ostream>
 #include <set>
 
@@ -744,6 +745,161 @@ TEST(EngineInsertTest, NullLiteralLandsAsNull) {
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->relation.size(), 1u);
   EXPECT_TRUE(result->relation.row(0)[0].is_null());
+}
+
+// ---- Semantics both engines and both execution modes must share ----
+
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+
+EngineConfig ConfigFor(bool distributed, size_t batch_rows) {
+  EngineConfig config;
+  config.distributed = distributed;
+  config.runtime.batch_rows = batch_rows;
+  return config;
+}
+
+TEST(EngineTest, Int64SumWrapsPastInt64Max) {
+  // The row step and the batch int64 loop of the aggregate both wrap, as
+  // int64 expression arithmetic does (DESIGN.md §5).
+  for (size_t batch_rows : {size_t{0}, size_t{64}}) {
+    RaSqlContext ctx(ConfigFor(false, batch_rows));
+    ASSERT_TRUE(
+        ctx.RegisterTable("t", MakeIntRelation({"a"}, {{kInt64Max}, {1}}))
+            .ok());
+    auto result = ctx.Execute("SELECT sum(a) FROM t");
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->relation.size(), 1u);
+    EXPECT_EQ(result->relation.row(0)[0].AsInt(), kInt64Min)
+        << "batch=" << batch_rows;
+  }
+}
+
+TEST(EngineTest, RecursiveInt64SumWrapsInBothEngines) {
+  // Key 1's base contributions overflow when they are pre-aggregated; the
+  // wrapped total then flows along the edge to key 2.
+  for (bool distributed : {false, true}) {
+    for (size_t batch_rows : {size_t{0}, size_t{64}}) {
+      RaSqlContext ctx(ConfigFor(distributed, batch_rows));
+      ASSERT_TRUE(ctx.RegisterTable("t", MakeIntRelation({"K", "V"},
+                                                         {{1, kInt64Max},
+                                                          {1, 1}}))
+                      .ok());
+      ASSERT_TRUE(
+          ctx.RegisterTable("edge", MakeIntRelation({"Src", "Dst"}, {{1, 2}}))
+              .ok());
+      auto result = ctx.Execute(R"(
+          WITH recursive total (K, sum() AS V) AS
+            (SELECT K, V FROM t) UNION
+            (SELECT edge.Dst, total.V FROM total, edge
+             WHERE total.K = edge.Src)
+          SELECT K, V FROM total)");
+      ASSERT_TRUE(result.ok()) << result.status();
+      std::set<std::pair<int64_t, int64_t>> got;
+      result->relation.ForEachRow([&](const Row& row) {
+        got.insert({row[0].AsInt(), row[1].AsInt()});
+      });
+      const std::set<std::pair<int64_t, int64_t>> expected = {
+          {1, kInt64Min}, {2, kInt64Min}};
+      EXPECT_EQ(got, expected)
+          << (distributed ? "distributed" : "local")
+          << " batch=" << batch_rows;
+    }
+  }
+}
+
+/// Columns a, b with rows (NULL, 1) and (5, 2).
+Relation NullableAB() {
+  Relation rel{Schema::Of({{"a", ValueType::kInt64},
+                           {"b", ValueType::kInt64}})};
+  rel.Add({Value::Null(), Value::Int(1)});
+  rel.Add({Value::Int(5), Value::Int(2)});
+  return rel;
+}
+
+/// The `b` values a filter over NullableAB keeps, in row order.
+std::vector<int64_t> FilteredB(RaSqlContext* ctx, const std::string& where) {
+  auto result = ctx->Execute("SELECT b FROM n WHERE " + where);
+  EXPECT_TRUE(result.ok()) << where << ": " << result.status();
+  std::vector<int64_t> out;
+  if (result.ok()) {
+    result->relation.ForEachRow(
+        [&](const Row& row) { out.push_back(row[0].AsInt()); });
+  }
+  return out;
+}
+
+TEST(EngineTest, NotAndOrFollowThreeValuedLogicInFilters) {
+  // NOT NULL is NULL, and a filter keeps only TRUE rows. FALSE AND x is
+  // FALSE and TRUE OR x is TRUE even when x is NULL.
+  for (size_t batch_rows : {size_t{0}, size_t{64}}) {
+    RaSqlContext ctx(ConfigFor(false, batch_rows));
+    ASSERT_TRUE(ctx.RegisterTable("n", NullableAB()).ok());
+    const std::string label = "batch=" + std::to_string(batch_rows);
+    using B = std::vector<int64_t>;
+    EXPECT_EQ(FilteredB(&ctx, "NOT (a > 0)"), B{}) << label;
+    EXPECT_EQ(FilteredB(&ctx, "NOT (a > 0 AND b > 0)"), B{}) << label;
+    EXPECT_EQ(FilteredB(&ctx, "NOT (a > 0 OR b < 0)"), B{}) << label;
+    EXPECT_EQ(FilteredB(&ctx, "NOT (a > 0 AND b > 1)"), (B{1})) << label;
+    EXPECT_EQ(FilteredB(&ctx, "NOT (a > 0 OR b > 0)"), B{}) << label;
+    EXPECT_EQ(FilteredB(&ctx, "a > 0 OR b > 0"), (B{1, 2})) << label;
+  }
+}
+
+TEST(EngineTest, NotAndOrProjectNullPerThreeValuedLogic) {
+  for (size_t batch_rows : {size_t{0}, size_t{64}}) {
+    RaSqlContext ctx(ConfigFor(false, batch_rows));
+    ASSERT_TRUE(ctx.RegisterTable("n", NullableAB()).ok());
+    auto result = ctx.Execute(
+        "SELECT b, a > 0 AND b > 0, a > 0 OR b < 0, NOT (a > 0), "
+        "a > 0 AND b > 1, a > 0 OR b > 0 FROM n");
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->relation.size(), 2u);
+    const Row null_row = result->relation.GetRow(0);
+    const Row full_row = result->relation.GetRow(1);
+    const std::string label = "batch=" + std::to_string(batch_rows);
+    EXPECT_EQ(null_row[0].AsInt(), 1) << label;
+    EXPECT_TRUE(null_row[1].is_null()) << label;
+    EXPECT_TRUE(null_row[2].is_null()) << label;
+    EXPECT_TRUE(null_row[3].is_null()) << label;
+    EXPECT_EQ(null_row[4], Value::Int(0)) << label;  // NULL AND FALSE
+    EXPECT_EQ(null_row[5], Value::Int(1)) << label;  // NULL OR TRUE
+    EXPECT_EQ(full_row, (Row{Value::Int(2), Value::Int(1), Value::Int(1),
+                             Value::Int(0), Value::Int(1), Value::Int(1)}))
+        << label;
+  }
+}
+
+TEST(EngineTest, RecursiveFilterNotOverNullableWeight) {
+  // NOT (edge.W > 5) is NULL on the NULL-weight edges, so the recursion
+  // must not follow them — in either engine and either execution mode.
+  Relation edge{Schema::Of({{"Src", ValueType::kInt64},
+                            {"Dst", ValueType::kInt64},
+                            {"W", ValueType::kInt64}})};
+  edge.Add({Value::Int(1), Value::Int(2), Value::Null()});
+  edge.Add({Value::Int(1), Value::Int(3), Value::Int(1)});
+  edge.Add({Value::Int(3), Value::Int(4), Value::Int(9)});
+  edge.Add({Value::Int(3), Value::Int(5), Value::Null()});
+  edge.Add({Value::Int(3), Value::Int(6), Value::Int(2)});
+  for (bool distributed : {false, true}) {
+    for (size_t batch_rows : {size_t{0}, size_t{64}}) {
+      RaSqlContext ctx(ConfigFor(distributed, batch_rows));
+      ASSERT_TRUE(ctx.RegisterTable("edge", edge).ok());
+      auto result = ctx.Execute(R"(
+          WITH recursive reach (Dst) AS
+            (SELECT 1) UNION
+            (SELECT edge.Dst FROM reach, edge
+             WHERE reach.Dst = edge.Src AND NOT (edge.W > 5))
+          SELECT Dst FROM reach)");
+      ASSERT_TRUE(result.ok()) << result.status();
+      std::set<int64_t> got;
+      result->relation.ForEachRow(
+          [&](const Row& row) { got.insert(row[0].AsInt()); });
+      EXPECT_EQ(got, (std::set<int64_t>{1, 3, 6}))
+          << (distributed ? "distributed" : "local")
+          << " batch=" << batch_rows;
+    }
+  }
 }
 
 }  // namespace

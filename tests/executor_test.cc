@@ -290,7 +290,7 @@ TEST(PipelineTest, MorselRunsConcatenateToRunAll) {
   PlanPtr plan = TwoHopPlan();
   ExecContext ctx;
   ctx.tables["edge"] = &edges;
-  auto program = PipelineProgram::Compile(*plan);
+  auto program = PipelineProgram::Compile(*plan, JoinAlgorithm::kHash);
   ASSERT_TRUE(program.has_value());
   auto bound = program->Bind(ctx);
   ASSERT_TRUE(bound.ok()) << bound.status();

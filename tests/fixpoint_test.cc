@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/analyzer.h"
+#include "baselines/serial/serial_graph.h"
 #include "datagen/graph_gen.h"
 #include "fixpoint/distributed_fixpoint.h"
 #include "fixpoint/local_fixpoint.h"
+#include "fixpoint/stage_plan.h"
 #include "sql/parser.h"
 
 namespace rasql::fixpoint {
@@ -396,14 +400,18 @@ TEST(LocalFixpointTest, NonRecursiveCliqueReportsStats) {
   EXPECT_EQ(stats.total_delta_rows, result->at("v").size());
 }
 
-Relation WeightedRmat() {
+datagen::Graph WeightedRmatGraph() {
   datagen::RmatOptions opt;
   opt.num_vertices = 256;
   opt.edges_per_vertex = 4;
   opt.weighted = true;
   opt.min_weight = 1.0;
   opt.seed = 11;
-  return datagen::ToEdgeRelation(datagen::GenerateRmat(opt));
+  return datagen::GenerateRmat(opt);
+}
+
+Relation WeightedRmat() {
+  return datagen::ToEdgeRelation(WeightedRmatGraph());
 }
 
 TEST(LocalFixpointTest, ColdSsspBuildsTheEdgeTableOnce) {
@@ -461,6 +469,235 @@ TEST(DistributedFixpointTest, StepBuildSidesAreCachedPerPartition) {
     EXPECT_GT(stats.iterations, 3);
     EXPECT_GT(stats.hash_builds, 0u);
     EXPECT_LE(stats.hash_builds, 6u);
+  }
+}
+
+// ---- The distributed step runs the local engine's fused pipeline: the
+// same rows, and the same hash_builds definition (DESIGN.md §18). ----
+
+struct DistRun {
+  std::vector<storage::Row> rows;
+  FixpointStats stats;
+  dist::JobMetrics metrics;
+};
+
+DistRun RunDistributed(const analysis::AnalyzedQuery& analyzed,
+                       const std::map<std::string, const Relation*>& tables,
+                       const DistFixpointOptions& options,
+                       const runtime::RuntimeOptions& runtime,
+                       int partitions = 6) {
+  dist::ClusterConfig config;
+  config.num_partitions = partitions;
+  dist::Cluster cluster(config, runtime);
+  DistRun run;
+  auto views = EvaluateCliqueDistributed(analyzed.cliques[0], tables,
+                                         &cluster, options, &run.stats);
+  EXPECT_TRUE(views.ok()) << views.status();
+  if (views.ok()) run.rows = views->begin()->second.MaterializeRows();
+  run.metrics = cluster.metrics();
+  return run;
+}
+
+void ExpectSameRows(const std::vector<storage::Row>& want,
+                    const std::vector<storage::Row>& got,
+                    const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i], got[i]) << label << " row " << i;
+  }
+}
+
+constexpr char kFilteredSssp[] = R"(
+    WITH recursive path (Dst, min() AS Cost) AS
+      (SELECT 0, 0.0) UNION
+      (SELECT edge.Dst, path.Cost + edge.Cost
+       FROM path, edge WHERE path.Dst = edge.Src AND edge.Cost < 1000.0)
+    SELECT Dst, Cost FROM path)";
+
+TEST(DistributedFixpointTest, FilteredBuildSideIsBoundOncePerPartition) {
+  // The optimizer pushes `edge.Cost < 1000.0` onto the edge leaf, so the
+  // step is no bare Join(ref, scan): its build side is a filtered table.
+  // It reads no view rows, so each partition still binds it once, however
+  // many iterations probe it.
+  Relation edge = WeightedRmat();
+  std::map<std::string, const Relation*> tables = {{"edge", &edge}};
+  auto analyzed = Compile(kFilteredSssp, tables);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  const LocalRun local =
+      RunLocal(*analyzed, tables, FixpointMode::kSemiNaive, 1);
+  // Plain DSN at morsel 7 splits the step, so at 8 threads a partition's
+  // sub-tasks race to its invariant bind.
+  const struct {
+    bool combine;
+    size_t morsel_rows;
+  } modes[] = {{true, 0}, {false, 0}, {false, 7}};
+  for (const auto& mode : modes) {
+    for (int threads : {1, 8}) {
+      const std::string label =
+          std::string(mode.combine ? "combined" : "plain") +
+          " morsel=" + std::to_string(mode.morsel_rows) +
+          " threads=" + std::to_string(threads);
+      DistFixpointOptions options;
+      options.combine_stages = mode.combine;
+      runtime::RuntimeOptions runtime;
+      runtime.num_threads = threads;
+      runtime.morsel_rows = mode.morsel_rows;
+      const DistRun run = RunDistributed(*analyzed, tables, options, runtime);
+      EXPECT_GT(run.stats.iterations, 3) << label;
+      EXPECT_GT(run.stats.hash_builds, 0u) << label;
+      EXPECT_LE(run.stats.hash_builds, 6u) << label;
+      ExpectSameRows(local.rows, run.rows, label);
+    }
+  }
+}
+
+constexpr char kSsspViewOnTheRight[] = R"(
+    WITH recursive path (Dst, min() AS Cost) AS
+      (SELECT 0, 0.0) UNION
+      (SELECT edge.Dst, path.Cost + edge.Cost
+       FROM edge, path WHERE edge.Src = path.Dst)
+    SELECT Dst, Cost FROM path)";
+
+TEST(DistributedFixpointTest, ViewOnTheRightMatchesLocalAndSerial) {
+  // The pipeline drives the edge slice and builds on the delta, so the
+  // step is not morsel-splittable and binds a view-reading build side per
+  // delta — the same plan the local engine runs.
+  const datagen::Graph graph = WeightedRmatGraph();
+  Relation edge = datagen::ToEdgeRelation(graph);
+  std::map<std::string, const Relation*> tables = {{"edge", &edge}};
+  auto analyzed = Compile(kSsspViewOnTheRight, tables);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  const std::vector<double> expected =
+      baselines::SerialSssp(baselines::Csr::Build(graph), 0);
+  size_t reachable = 0;
+  for (double d : expected) reachable += std::isinf(d) ? 0 : 1;
+  for (physical::JoinAlgorithm algorithm :
+       {physical::JoinAlgorithm::kHash, physical::JoinAlgorithm::kSortMerge}) {
+    for (size_t batch_rows : {size_t{0}, size_t{64}}) {
+      for (size_t morsel_rows : {size_t{0}, size_t{7}}) {
+        FixpointOptions local_options;
+        local_options.join_algorithm = algorithm;
+        local_options.runtime.batch_rows = batch_rows;
+        local_options.runtime.morsel_rows = morsel_rows;
+        auto local = EvaluateCliqueLocal(analyzed->cliques[0], tables,
+                                         local_options, nullptr);
+        ASSERT_TRUE(local.ok()) << local.status();
+        const std::vector<storage::Row> local_rows =
+            local->begin()->second.MaterializeRows();
+        for (bool combine : {true, false}) {
+          const std::string label =
+              std::string(algorithm == physical::JoinAlgorithm::kHash
+                              ? "hash"
+                              : "sort-merge") +
+              " batch=" + std::to_string(batch_rows) +
+              " morsel=" + std::to_string(morsel_rows) +
+              (combine ? " combined" : " plain");
+          DistFixpointOptions options;
+          options.join_algorithm = algorithm;
+          options.combine_stages = combine;
+          const DistRun run = RunDistributed(*analyzed, tables, options,
+                                             local_options.runtime);
+          ExpectSameRows(local_rows, run.rows, label);
+          ASSERT_EQ(run.rows.size(), reachable) << label;
+          for (const storage::Row& row : run.rows) {
+            EXPECT_EQ(row[1].AsDouble(), expected[row[0].AsInt()])
+                << label << " vertex " << row[0].AsInt();
+          }
+        }
+      }
+    }
+  }
+}
+
+constexpr char kSameGeneration[] = R"(
+    WITH recursive sg (X, Y) AS
+      (SELECT a.Child, b.Child FROM rel a, rel b
+       WHERE a.Parent = b.Parent AND a.Child <> b.Child) UNION
+      (SELECT a.Child, b.Child FROM rel a, sg, rel b
+       WHERE a.Parent = sg.X AND b.Parent = sg.Y)
+    SELECT X, Y FROM sg)";
+
+Relation Tree() {
+  datagen::TreeOptions opt;
+  opt.height = 4;
+  opt.max_nodes = 300;
+  opt.leaf_probability = 0.0;
+  Relation rel{storage::Schema::Of({{"Parent", storage::ValueType::kInt64},
+                                    {"Child", storage::ValueType::kInt64}})};
+  for (const auto& [parent, child] : datagen::GenerateTree(opt).edges) {
+    rel.Add({storage::Value::Int(parent), storage::Value::Int(child)});
+  }
+  return rel;
+}
+
+TEST(DistributedFixpointTest, SameGenerationRunsUnsplitLikeLocal) {
+  // SG's pipeline is driven by `rel a`, probes the view (`sg`, bound per
+  // delta) and then `rel b` (bound once per partition). It is not driven
+  // by the delta, so no morsel size splits its map stage.
+  Relation rel = Tree();
+  std::map<std::string, const Relation*> tables = {{"rel", &rel}};
+  auto analyzed = Compile(kSameGeneration, tables);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  const LocalRun local =
+      RunLocal(*analyzed, tables, FixpointMode::kSemiNaive, 1);
+  ASSERT_GT(local.rows.size(), 100u);
+
+  DistFixpointOptions plain;
+  plain.combine_stages = false;
+  runtime::RuntimeOptions morsels;
+  morsels.morsel_rows = 7;
+  for (int threads : {1, 8}) {
+    morsels.num_threads = threads;
+    const DistRun run = RunDistributed(*analyzed, tables, plain, morsels);
+    const std::string label = "threads=" + std::to_string(threads);
+    ExpectSameRows(local.rows, run.rows, label);
+    int maps = 0;
+    for (const dist::StageMetrics& stage : run.metrics.stages) {
+      if (stage.name.rfind("map-", 0) != 0) continue;
+      ++maps;
+      EXPECT_EQ(stage.num_exec_tasks, stage.num_tasks)
+          << label << " " << stage.name;
+    }
+    EXPECT_EQ(maps, run.stats.iterations) << label;
+  }
+  // EXPLAIN STAGES renders the same pipelined map/reduce pairs.
+  runtime::RuntimeOptions whole;
+  auto split_graph =
+      PlanDistributedStages(analyzed->cliques[0], plain, morsels, 6);
+  auto whole_graph =
+      PlanDistributedStages(analyzed->cliques[0], plain, whole, 6);
+  ASSERT_TRUE(split_graph.ok() && whole_graph.ok());
+  EXPECT_EQ(split_graph->ToString(), whole_graph->ToString());
+  EXPECT_EQ(split_graph->ToString().find(", split"), std::string::npos);
+}
+
+TEST(DistributedFixpointTest, OnePartitionCountsHashBuildsLikeLocal) {
+  // hash_builds means the same in both engines: invariant build sides
+  // once (per evaluation locally, per partition distributed) plus one per
+  // bind for each build side that reads the view. With one partition of
+  // each, both engines bind the same deltas, so the counts agree.
+  Relation edge = WeightedRmat();
+  Relation rel = Tree();
+  const std::map<std::string, const Relation*> tables = {{"edge", &edge},
+                                                         {"rel", &rel}};
+  for (const char* sql : {kSssp, kSsspViewOnTheRight, kSameGeneration}) {
+    auto analyzed = Compile(sql, tables);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+    FixpointOptions local_options;
+    local_options.local_partitions = 1;
+    FixpointStats local;
+    ASSERT_TRUE(EvaluateCliqueLocal(analyzed->cliques[0], tables,
+                                    local_options, &local)
+                    .ok());
+    EXPECT_GT(local.hash_builds, 0u) << sql;
+    for (bool combine : {true, false}) {
+      DistFixpointOptions options;
+      options.combine_stages = combine;
+      const DistRun run =
+          RunDistributed(*analyzed, tables, options, {}, /*partitions=*/1);
+      EXPECT_EQ(run.stats.hash_builds, local.hash_builds)
+          << sql << (combine ? " combined" : " plain");
+    }
   }
 }
 

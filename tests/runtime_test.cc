@@ -261,7 +261,6 @@ TEST(ClusterRuntimeTest, SimulatedMetricsIndependentOfThreadCount) {
 struct FixpointCase {
   int num_threads;
   bool partition_aware;
-  bool deterministic_reduce;
   bool async_shuffle = false;
   /// Combined stages collapse each map→reduce pair into one stage; turn
   /// combination off to exercise RunStagePair's pipelined path.
@@ -277,7 +276,6 @@ class FixpointDeterminism : public ::testing::TestWithParam<FixpointCase> {
     config.cluster.num_partitions = 6;
     config.cluster.partition_aware_scheduling = GetParam().partition_aware;
     config.runtime.num_threads = GetParam().num_threads;
-    config.runtime.deterministic_reduce = GetParam().deterministic_reduce;
     config.runtime.async_shuffle = GetParam().async_shuffle;
     config.dist_fixpoint.combine_stages = GetParam().combine_stages;
     return config;
@@ -358,7 +356,6 @@ TEST_P(FixpointDeterminism, SsspMatchesSequentialReference) {
 TEST_P(FixpointDeterminism, StatsAndMetricsMatchSequentialReference) {
   engine::EngineConfig ref_config = Config();
   ref_config.runtime.num_threads = 1;
-  ref_config.runtime.deterministic_reduce = true;
   ref_config.runtime.async_shuffle = false;
   engine::RaSqlContext ref_ctx(ref_config);
   ASSERT_TRUE(ref_ctx.RegisterTable("edge", Edges(true)).ok());
@@ -396,26 +393,26 @@ TEST_P(FixpointDeterminism, StatsAndMetricsMatchSequentialReference) {
 INSTANTIATE_TEST_SUITE_P(
     ThreadsAndPolicies, FixpointDeterminism,
     ::testing::Values(
-        FixpointCase{1, true, true}, FixpointCase{2, true, true},
-        FixpointCase{8, true, true}, FixpointCase{8, true, false},
-        FixpointCase{2, false, true}, FixpointCase{8, false, false},
+        FixpointCase{1, true}, FixpointCase{2, true}, FixpointCase{8, true},
+        FixpointCase{2, false}, FixpointCase{8, false},
         // Async shuffle across thread counts, with stage combination off
         // so the plain map→reduce pairs exercise the pipelined path.
-        FixpointCase{1, true, true, /*async_shuffle=*/true,
+        FixpointCase{1, true, /*async_shuffle=*/true,
                      /*combine_stages=*/false},
-        FixpointCase{2, true, true, /*async_shuffle=*/true,
+        FixpointCase{2, true, /*async_shuffle=*/true,
                      /*combine_stages=*/false},
-        FixpointCase{8, true, true, /*async_shuffle=*/true,
+        FixpointCase{8, true, /*async_shuffle=*/true,
                      /*combine_stages=*/false},
-        FixpointCase{8, false, false, /*async_shuffle=*/true,
+        FixpointCase{8, false, /*async_shuffle=*/true,
                      /*combine_stages=*/false},
         // Async with combination on: pairs collapse, the flag must be a
         // harmless no-op.
-        FixpointCase{8, true, true, /*async_shuffle=*/true}),
+        FixpointCase{8, true, /*async_shuffle=*/true}),
+    // Every reduce is deterministic (per-task slots summed in partition
+    // order), which the `_det` in each name records.
     [](const auto& pinfo) {
       return "t" + std::to_string(pinfo.param.num_threads) +
-             (pinfo.param.partition_aware ? "_aware" : "_hybrid") +
-             (pinfo.param.deterministic_reduce ? "_det" : "_relaxed") +
+             (pinfo.param.partition_aware ? "_aware" : "_hybrid") + "_det" +
              (pinfo.param.async_shuffle ? "_async" : "") +
              (pinfo.param.combine_stages ? "" : "_nocombine");
     });

@@ -503,7 +503,7 @@ TEST(ClusterVerifyDeathTest, RejectsCounterAliasingAcrossPair) {
   config.num_partitions = 4;
   dist::Cluster cluster(config, VerifyOn());
   dist::ShuffleChannel exchange(config.num_partitions);
-  runtime::StageCounter shared(config.num_partitions, false);
+  runtime::StageCounter shared(config.num_partitions);
   dist::StageSpec map_spec;
   map_spec.name = "map";
   map_spec.kind = dist::StageSpec::Kind::kShuffleMap;
