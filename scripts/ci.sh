@@ -45,8 +45,9 @@ done
 "${BUILD_DIR}/tests/morsel_test" --gtest_filter='*MorselMatrix*'
 
 # Canonical-collect gate under ASan (DESIGN.md §16): the typed sort and
-# k-way merge index KeyArrays columns by permutation and run position, and
-# the parallel Partition writes destinations through raw chunk offsets.
+# k-way merge index KeyArrays columns by permutation and run position (the
+# range merge from binary-searched cut positions), and the parallel
+# Partition writes destinations through raw chunk offsets.
 "${BUILD_DIR}/tests/canonical_collect_test"
 
 # Typed data-plane gate under ASan (DESIGN.md §17): the group table probes
@@ -98,9 +99,18 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 "${TSAN_BUILD_DIR}/tests/fixpoint_test" \
   --gtest_filter='*DistributedFixpoint*'
 
+# Distributed base case under TSan (DESIGN.md §16): concurrent seed tasks
+# run their ranges of the base branches on pipelines bound once on the
+# driver and share them read-only — hash tables, compiled filters and
+# projections — at threads {1, 8} with the async pipeline on and off.
+# Filtered re-run so the gate stays explicit.
+"${TSAN_BUILD_DIR}/tests/fixpoint_test" \
+  --gtest_filter='*SeedSplit*'
+
 # Canonical collect under TSan (DESIGN.md §16): partition tasks run on
 # the pool between stages — each sorts its own SetRdd slice into its own
-# run slot and frees that slice's hash state inside the task — and the
+# run slot and frees that slice's hash state inside the task — the range
+# merge's tasks read every run and each fills its own output part, and the
 # parallel Partition hashes chunks and gathers partitions concurrently, at
 # threads {1,2,8}.
 "${TSAN_BUILD_DIR}/tests/canonical_collect_test"

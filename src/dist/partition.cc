@@ -71,10 +71,10 @@ PartitionedRelation Partition(const Relation& input,
   return out;
 }
 
-Relation GatherShuffle(const std::vector<ShuffleWrite>& writes, int dest) {
+Relation GatherShuffle(std::vector<ShuffleWrite>* writes, int dest) {
   Relation out;
-  for (const ShuffleWrite& w : writes) {
-    out.AppendChunks(Relation(w.slice_per_dest[dest]));
+  for (ShuffleWrite& w : *writes) {
+    out.AppendChunks(std::move(w.slice_per_dest[dest]));
   }
   return out;
 }

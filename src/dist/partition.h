@@ -108,11 +108,12 @@ struct ShuffleWrite {
   }
 };
 
-/// Collects the slices addressed to partition `dest` from every map task's
-/// ShuffleWrite, in writer order — the reduce-side read. The slices'
-/// chunks are copied whole; no row is materialized.
-storage::Relation GatherShuffle(const std::vector<ShuffleWrite>& writes,
-                                int dest);
+/// Moves the slices addressed to partition `dest` out of every map task's
+/// ShuffleWrite, in writer order — the reduce-side read. Each slice has
+/// one reader, so its chunks move whole and the slice is left empty; no
+/// row is copied or materialized. Reduce tasks of distinct `dest` may run
+/// concurrently: each touches only its own slices.
+storage::Relation GatherShuffle(std::vector<ShuffleWrite>* writes, int dest);
 
 }  // namespace rasql::dist
 

@@ -111,7 +111,7 @@ Relation SetRdd::CanonicalCollect(runtime::ThreadPool* pool) {
   runtime::ParallelFor(pool, num_partitions(), [&](int p) {
     runs[p] = partitions_[p].TakeSortedRun();
   });
-  return storage::MergeSortedRuns(partitions_[0].schema(), runs);
+  return storage::MergeSortedRuns(partitions_[0].schema(), runs, pool);
 }
 
 }  // namespace rasql::dist

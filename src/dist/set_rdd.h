@@ -81,9 +81,10 @@ class SetRdd {
 
   /// The fixpoint epilogue (DESIGN.md §16): every partition, as one task
   /// on `pool` (inline when null), sorts its state's key arrays into a run
-  /// and frees its hash slots; the caller then k-way merges the runs into
-  /// chunks. Equals `Collect()` followed by `SortRows()` byte for byte, and
-  /// leaves every partition empty.
+  /// and frees its hash slots; the runs are then k-way merged into chunks,
+  /// by key range on the same pool when the result is large enough
+  /// (storage::MergeSortedRuns). Equals `Collect()` followed by
+  /// `SortRows()` byte for byte, and leaves every partition empty.
   storage::Relation CanonicalCollect(runtime::ThreadPool* pool);
 
  private:

@@ -90,26 +90,29 @@ class ShuffleChannel {
 
   const ShuffleWrite& write(int producer) const { return writes_[producer]; }
 
-  /// Collects the rows addressed to `consumer` from every *published*
-  /// producer, in ascending producer order, and marks the consumer done.
-  /// The slices' chunks are copied whole into one relation; no row is
-  /// materialized. Under the all-slices dependency the pipeline declares,
-  /// every producer is published by the time a consumer runs, so this
-  /// gathers the full exchange — the partial-visibility behaviour exists so
-  /// tests can pin down that unpublished slices are never observed.
+  /// Moves the rows addressed to `consumer` out of every *published*
+  /// producer's slice, in ascending producer order, and marks the consumer
+  /// done. Each slice has exactly one consumer, so its chunks move whole
+  /// into one relation: no row is copied or materialized, and the slice is
+  /// left empty (the cost model reads `bytes_per_dest`, not the rows).
+  /// Under the all-slices dependency the pipeline declares, every producer
+  /// is published by the time a consumer runs, so this gathers the full
+  /// exchange — the partial-visibility behaviour exists so tests can pin
+  /// down that unpublished slices are never observed, and stay in place.
   storage::Relation Gather(int consumer) {
     storage::Relation rows;
     for (int src = 0; src < num_partitions_; ++src) {
       if (!readiness_.Published(src)) continue;
       rows.AppendChunks(
-          storage::Relation(writes_[src].slice_per_dest[consumer]));
+          std::move(writes_[src].slice_per_dest[consumer]));
     }
     readiness_.MarkConsumed(consumer);
     return rows;
   }
 
-  /// Rows currently buffered across all slices. Driver-side, post-barrier:
-  /// the fixpoint's "anything new this iteration?" check.
+  /// Rows currently buffered across all slices. Driver-side, post-barrier
+  /// and before the consuming stage Gathers them: the fixpoint's "anything
+  /// new this iteration?" check.
   size_t TotalRows() const {
     size_t n = 0;
     for (const ShuffleWrite& w : writes_) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -240,6 +241,61 @@ class StepEvaluator {
   const std::vector<physical::ExecContext>* contexts_;
   std::vector<Partition> partitions_;
 };
+
+/// One base-case input of the seed stage (PAPER Alg. 4/5 evaluate the base
+/// case as a cluster stage): a branch's pipeline, bound once on the driver
+/// (hash tables included) and run by every seed task over its own range of
+/// the driver rows; or rows already evaluated on the driver — a branch that
+/// does not compile, or the warm seed — which the tasks slice by range.
+struct BaseSource {
+  std::optional<physical::BoundPipeline> pipeline;
+  physical::BorrowedRelation rows;  ///< set when there is no pipeline
+
+  size_t size() const {
+    return pipeline.has_value() ? pipeline->driver_rows() : rows.rel->size();
+  }
+
+  /// Appends the pipeline's output over driver rows `range`, or the rows
+  /// in `range` themselves, to `*out`.
+  Status AppendRange(storage::RowRange range, Relation* out) const {
+    if (pipeline.has_value()) return pipeline->Run(range, out);
+    const Relation& rel = *rows.rel;
+    for (size_t i = range.begin; i < range.end;) {
+      size_t c;
+      size_t r;
+      rel.Locate(i, &c, &r);
+      const storage::ColumnChunk& chunk = rel.chunk(c);
+      for (; r < chunk.num_rows() && i < range.end; ++r, ++i) {
+        out->AppendRowFrom(chunk, r);
+      }
+    }
+    return Status::OK();
+  }
+};
+
+/// Seed task q's input split: range q of P near-equal consecutive ranges
+/// over the sources' rows laid end to end, in branch order. Concatenated in
+/// task order, the splits are the driver-side evaluation order, so the
+/// reduce side meets every key first where a driver-side evaluation would
+/// (the first-seen order that decides min/max ties and the delta's order).
+Status AppendSeedSplit(const std::vector<BaseSource>& sources, int q,
+                       int num_partitions, Relation* out) {
+  size_t total = 0;
+  for (const BaseSource& source : sources) total += source.size();
+  const size_t parts = static_cast<size_t>(num_partitions);
+  const size_t task = static_cast<size_t>(q);
+  const size_t begin = total * task / parts;
+  const size_t end = total * (task + 1) / parts;
+  size_t offset = 0;
+  for (const BaseSource& source : sources) {
+    const size_t n = source.size();
+    const size_t lo = std::clamp(begin, offset, offset + n) - offset;
+    const size_t hi = std::clamp(end, offset, offset + n) - offset;
+    if (lo < hi) RASQL_RETURN_IF_ERROR(source.AppendRange({lo, hi}, out));
+    offset += n;
+  }
+  return Status::OK();
+}
 
 bool IsSubset(const std::vector<int>& sub, const std::vector<int>& super) {
   for (int x : sub) {
@@ -492,7 +548,7 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
                        step_contexts);
   }
 
-  // ---- Base case: evaluate on the driver, then scatter by K. ----
+  // ---- Base case: bound here, evaluated by the seed stage's tasks. ----
   physical::ExecContext base_ctx;
   base_ctx.tables = tables;
   base_ctx.batch_rows = cluster->runtime_options().batch_rows;
@@ -501,22 +557,28 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   // delta over the appended rows; the prior converged state is absorbed
   // into the partitions below, before the seed merge runs against it.
   const WarmStartInput* warm = options.warm_start;
-  Relation base(view.schema);
+  std::vector<BaseSource> base_sources;
   if (warm == nullptr) {
-    // The branches' chunks are concatenated, never materialized as rows,
-    // and PartialAggregate streams their cells into its group table.
     for (const plan::PlanPtr& p : view.base_plans) {
-      RASQL_ASSIGN_OR_RETURN(Relation rel, physical::Execute(*p, base_ctx));
+      BaseSource& source = base_sources.emplace_back();
+      std::optional<physical::PipelineProgram> program =
+          physical::PipelineProgram::Compile(*p, options.join_algorithm);
+      if (program.has_value()) {
+        RASQL_ASSIGN_OR_RETURN(source.pipeline, program->Bind(base_ctx));
+      } else {
+        RASQL_ASSIGN_OR_RETURN(source.rows,
+                               physical::ExecuteBorrowed(*p, base_ctx));
+      }
       ++stats->plan_executions;
-      base.AppendChunks(std::move(rel));
     }
   } else {
-    RASQL_ASSIGN_OR_RETURN(base,
+    RASQL_ASSIGN_OR_RETURN(Relation seed,
                            EvaluateWarmSeed(view, *warm, base_ctx, stats));
     stats->warm_starts = 1;
+    physical::BorrowedRelation& rows = base_sources.emplace_back().rows;
+    rows.owned = std::make_unique<Relation>(std::move(seed));
+    rows.rel = rows.owned.get();
   }
-  const Relation base_rows = dist::PartialAggregate(base, spec);
-  base.Clear();
 
   dist::SetRdd all(view.schema, spec, partitioning);
   std::vector<Relation> delta(P, Relation(view.schema));
@@ -546,23 +608,21 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
   // all.partition(p), writes[p], per-partition evaluator caches) plus the
   // StageCounter/StageStatus accumulators above.
 
-  // Seed stages: input splits shuffle the base case to its partitions.
-  // Submitted as a pair so the async pipeline can start merging a
-  // partition's slice while other seed tasks still run.
+  // Seed stages (Alg. 5 lines 3-5): seed task q evaluates its input split
+  // of the base case, pre-aggregates it map-side and shuffles it to its
+  // partitions; merge task p folds its slices into the state. Submitted as
+  // a pair so the async pipeline can start merging a partition's slices
+  // while other seed tasks still run. Concurrent seed tasks share the bound
+  // base pipelines read-only (BoundPipeline::Run).
   {
-    std::vector<Relation> splits(P, Relation(view.schema));
-    for (size_t c = 0, i = 0; c < base_rows.num_chunks(); ++c) {
-      const storage::ColumnChunk& chunk = base_rows.chunk(c);
-      for (size_t r = 0; r < chunk.num_rows(); ++r, ++i) {
-        splits[i % P].AppendRowFrom(chunk, r);
-      }
-    }
     ShuffleChannel seed_channel(P);
+    StageStatus failure(P);
     StageSpec seed_stage;
     seed_stage.name = "seed-base-case";
     seed_stage.kind = StageSpec::Kind::kShuffleMap;
     seed_stage.output_slices = &seed_channel;
-    seed_stage.Claim(&splits, kPartitionOwned, "seed-splits");
+    seed_stage.status = &failure;
+    seed_stage.Claim(&base_sources, kReadShared, "base-pipelines");
     StageSpec merge_stage;
     merge_stage.name = "merge-base-case";
     merge_stage.kind = StageSpec::Kind::kShuffleReduce;
@@ -572,9 +632,14 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
     cluster->RunStagePair(
         seed_stage,
         [&](TaskContext& ctx) {
-          const int p = ctx.partition();
+          Relation split(view.schema);
+          Status s = AppendSeedSplit(base_sources, ctx.partition(), P, &split);
           ShuffleWrite write(P);
-          write.AddAll(splits[p], partitioning);
+          if (!s.ok()) {
+            ctx.Fail(std::move(s));
+          } else {
+            write.AddAll(dist::PartialAggregate(split, spec), partitioning);
+          }
           ctx.WriteShuffle(std::move(write));
         },
         merge_stage, [&](TaskContext& ctx) {
@@ -582,7 +647,9 @@ Result<std::map<std::string, Relation>> EvaluateCliqueDistributed(
           all.partition(p)->MergeDelta(
               dist::PartialAggregate(ctx.ReadShuffle(), spec), &delta[p]);
         });
+    RASQL_RETURN_IF_ERROR(failure.First());
   }
+  base_sources.clear();  // frees the base case's hash tables and rows
   for (const auto& d : delta) stats->total_delta_rows += d.size();
   if (warm != nullptr) {
     for (const auto& d : delta) stats->seed_delta_rows += d.size();

@@ -90,9 +90,10 @@ struct FixpointStats {
   /// Physical plan executions through physical::Execute. Local naive:
   /// base plans once plus every recursive plan per iteration; local
   /// semi-naive: base plans plus one execution per (non-empty delta
-  /// partition × semi-naive term) per iteration; distributed: driver-side
-  /// base/seed executions (per-partition steps run their bound pipelines,
-  /// counted by the cluster's stages instead).
+  /// partition × semi-naive term) per iteration; distributed: one per base
+  /// plan (bound on the driver, run by the seed stage's tasks) plus the
+  /// warm seed's executions (per-partition steps run their bound
+  /// pipelines, counted by the cluster's stages instead).
   size_t plan_executions = 0;
   /// Join hash tables built for recursive-step build sides (PAPER App. D),
   /// with one definition in both engines (DESIGN.md §18): the

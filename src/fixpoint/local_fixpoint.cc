@@ -380,7 +380,7 @@ Result<std::map<std::string, Relation>> EvaluateSemiNaive(
     // work was split), and merges into its own state slice.
     pool->ParallelFor(P, [&](int p) {
       state.partition(p)->MergeDelta(
-          dist::PartialAggregate(GatherShuffle(writes, p), spec), &delta[p]);
+          dist::PartialAggregate(GatherShuffle(&writes, p), spec), &delta[p]);
     });
     for (const auto& d : delta) stats->total_delta_rows += d.size();
   }

@@ -73,16 +73,18 @@ Result<StageGraph> PlanDistributedStages(
     g.Claim(r_warm, kReadShared);
   }
 
-  // ---- Seed: scatter the driver-evaluated base case, merge per
-  // partition. Submitted as one pipelined pair. ----
+  // ---- Seed: each task evaluates its range of the base case on the base
+  // pipelines bound driver-side (shared read-only), pre-aggregates and
+  // scatters it; merge per partition. Submitted as one pipelined pair. ----
   const int ch_seed = g.AddChannel("seed-exchange");
   int group = 0;
   {
-    const int r_splits = g.AddResource("seed-splits");
+    const int r_base = g.AddResource("base-pipelines");
     StageNode& seed = g.AddStage("seed-base-case", StageKind::kShuffleMap);
     seed.output_channel = ch_seed;
+    seed.status = s_failure;
     seed.group = group;
-    g.Claim(r_splits, kPartitionOwned);
+    g.Claim(r_base, kReadShared);
     StageNode& merge =
         g.AddStage("merge-base-case", StageKind::kShuffleReduce);
     merge.input_channel = ch_seed;
@@ -260,8 +262,14 @@ Result<StageGraph> PlanLocalStages(const analysis::RecursiveClique& clique,
       g.Claim(r_writes, kPartitionOwned);
     }
     {
+      // Reduce task p moves out the slices addressed to it, one per
+      // producer: column p of the shuffle writes, where iter-merge's map
+      // task p owned row p. The same partition-owned claim covers both
+      // only because iter-merge has finished before iter-reduce starts
+      // (the local stages are barriered); pipelined, reduce p would race
+      // every producer still writing its slice p.
       g.AddStage("iter-reduce", StageKind::kLocal);
-      g.Claim(r_writes, kReadShared);
+      g.Claim(r_writes, kPartitionOwned);
       g.Claim(r_state, kPartitionOwned);
       g.Claim(r_delta, kPartitionOwned);
     }

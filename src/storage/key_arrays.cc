@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "runtime/thread_pool.h"
 #include "storage/relation.h"
 
 namespace rasql::storage {
@@ -381,16 +382,19 @@ namespace {
 /// one leaf-to-root path — log2(runs) comparisons per output row. Leaves
 /// past the last run, and exhausted runs, hold kNone. `before(x, y)` must
 /// be a strict total order on the runs' current heads.
+///
+/// The merge starts at the runs' positions `*pos` and pops at most `count`
+/// rows; the first `skip` of them advance the positions without `emit`.
 template <class Before, class Emit>
 void TournamentMerge(const std::vector<KeyArrays>& runs,
-                     std::vector<size_t>* pos, const Before& before,
-                     const Emit& emit) {
+                     std::vector<size_t>* pos, size_t skip, size_t count,
+                     const Before& before, const Emit& emit) {
   constexpr size_t kNone = ~size_t{0};
   size_t leaves = 1;
   while (leaves < runs.size()) leaves *= 2;
   std::vector<size_t> tree(2 * leaves, kNone);
   for (size_t i = 0; i < runs.size(); ++i) {
-    if (runs[i].num_rows() > 0) tree[leaves + i] = i;
+    if ((*pos)[i] < runs[i].num_rows()) tree[leaves + i] = i;
   }
   auto better = [&](size_t x, size_t y) {
     if (x == kNone) return y;
@@ -400,9 +404,9 @@ void TournamentMerge(const std::vector<KeyArrays>& runs,
   for (size_t n = leaves; n-- > 1;) {
     tree[n] = better(tree[2 * n], tree[2 * n + 1]);
   }
-  while (tree[1] != kNone) {
+  for (size_t popped = 0; popped < count && tree[1] != kNone; ++popped) {
     const size_t run = tree[1];
-    emit(run, (*pos)[run]);
+    if (popped >= skip) emit(run, (*pos)[run]);
     if (++(*pos)[run] == runs[run].num_rows()) tree[leaves + run] = kNone;
     for (size_t n = (leaves + run) / 2; n >= 1; n /= 2) {
       tree[n] = better(tree[2 * n], tree[2 * n + 1]);
@@ -412,12 +416,11 @@ void TournamentMerge(const std::vector<KeyArrays>& runs,
 
 }  // namespace
 
-Relation MergeSortedRuns(const Schema& schema,
-                         const std::vector<KeyArrays>& runs) {
-  Relation out(schema);
-  std::vector<size_t> pos(runs.size(), 0);
+void KeyArrays::MergeRange(const std::vector<KeyArrays>& runs,
+                           std::vector<size_t> pos, size_t skip,
+                           size_t count, Relation* out) {
   auto emit = [&](size_t run, size_t row) {
-    runs[run].AppendRowTo(row, &out);
+    runs[run].AppendRowTo(row, out);
   };
 
   // Equal heads pop in run order, so the merge is a stable sort of the
@@ -439,7 +442,7 @@ Relation MergeSortedRuns(const Schema& schema,
       }
     }
     TournamentMerge(
-        runs, &pos,
+        runs, &pos, skip, count,
         [&](size_t x, size_t y) {
           const int64_t* const* cx = &cols[x * width];
           const int64_t* const* cy = &cols[y * width];
@@ -453,13 +456,111 @@ Relation MergeSortedRuns(const Schema& schema,
         emit);
   } else {
     TournamentMerge(
-        runs, &pos,
+        runs, &pos, skip, count,
         [&](size_t x, size_t y) {
-          const int c = KeyArrays::Compare(runs[x], pos[x], runs[y], pos[y]);
+          const int c = Compare(runs[x], pos[x], runs[y], pos[y]);
           return c != 0 ? c < 0 : x < y;
         },
         emit);
   }
+}
+
+Relation MergeSortedRuns(const Schema& schema,
+                         const std::vector<KeyArrays>& runs,
+                         runtime::ThreadPool* pool) {
+  constexpr size_t kRangesPerThread = 4;
+  constexpr size_t kSamplesPerRange = 8;
+
+  size_t total = 0;
+  bool uniform = true;
+  size_t width = 0;
+  for (const KeyArrays& run : runs) {
+    if (run.num_rows() == 0) continue;
+    total += run.num_rows();
+    // Rows of varying width seal short chunks wherever the width changes,
+    // so chunk starts are not multiples of kChunkRows: merge those whole.
+    uniform &= run.widths_.empty() &&
+               (width == 0 || width == run.num_columns());
+    width = run.num_columns();
+  }
+  const size_t threads =
+      pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads());
+  const size_t chunks = (total + kChunkRows - 1) / kChunkRows;
+  Relation out(schema);
+  if (total == 0) return out;
+  if (threads <= 1 || !uniform) {
+    KeyArrays::MergeRange(runs, std::vector<size_t>(runs.size(), 0), 0,
+                          total, &out);
+    return out;
+  }
+
+  // Splitters: every stride-th row of the runs laid end to end (so each
+  // run contributes in proportion to its size), sorted canonically.
+  const size_t num_ranges = std::min(chunks, kRangesPerThread * threads);
+  const size_t stride =
+      std::max<size_t>(1, total / (num_ranges * kSamplesPerRange));
+  struct RunRow {
+    size_t run;
+    size_t row;
+  };
+  std::vector<RunRow> samples;
+  for (size_t r = 0, offset = 0, next = stride / 2; r < runs.size(); ++r) {
+    offset += runs[r].num_rows();
+    for (; next < offset; next += stride) {
+      samples.push_back({r, runs[r].num_rows() - (offset - next)});
+    }
+  }
+  std::sort(samples.begin(), samples.end(),
+            [&](const RunRow& a, const RunRow& b) {
+              return KeyArrays::Compare(runs[a.run], a.row, runs[b.run],
+                                        b.row) < 0;
+            });
+
+  // Range k starts, in every run, at the first row not below splitter k,
+  // so all rows equal to a splitter fall in its range, and the merge from
+  // those positions continues the serial merge from rank start[k].
+  std::vector<std::vector<size_t>> cuts(
+      num_ranges, std::vector<size_t>(runs.size(), 0));
+  std::vector<size_t> start(num_ranges + 1, 0);
+  start[num_ranges] = total;
+  for (size_t k = 1; k < num_ranges; ++k) {
+    const RunRow& splitter = samples[k * samples.size() / num_ranges];
+    for (size_t r = 0; r < runs.size(); ++r) {
+      size_t lo = 0;
+      size_t hi = runs[r].num_rows();
+      while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (KeyArrays::Compare(runs[r], mid, runs[splitter.run],
+                               splitter.row) < 0) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      cuts[k][r] = lo;
+      start[k] += lo;
+    }
+  }
+
+  // Task k emits output rows [chunk_start(k), chunk_start(k + 1)): its
+  // range widened to whole chunks. It skips the head rows that fill range
+  // k - 1's tail chunk and continues into range k + 1 to fill its own, so
+  // every part but the last is whole chunks, appended as the serial merge
+  // would.
+  auto chunk_start = [&](size_t k) {
+    return std::min(total, (start[k] + kChunkRows - 1) / kChunkRows *
+                               kChunkRows);
+  };
+  std::vector<Relation> parts(num_ranges, Relation(schema));
+  runtime::ParallelFor(pool, static_cast<int>(num_ranges), [&](int task) {
+    const size_t k = static_cast<size_t>(task);
+    const size_t begin = chunk_start(k);
+    const size_t end = chunk_start(k + 1);
+    if (begin >= end) return;
+    KeyArrays::MergeRange(runs, cuts[k], begin - start[k], end - start[k],
+                          &parts[k]);
+  });
+  for (Relation& part : parts) out.AppendChunks(std::move(part));
   return out;
 }
 

@@ -9,6 +9,10 @@
 #include "storage/schema.h"
 #include "storage/value.h"
 
+namespace rasql::runtime {
+class ThreadPool;
+}  // namespace rasql::runtime
+
 namespace rasql::storage {
 
 class Relation;
@@ -64,7 +68,14 @@ class KeyArrays {
  private:
   friend class GroupTable;
   friend Relation MergeSortedRuns(const Schema& schema,
-                                  const std::vector<KeyArrays>& runs);
+                                  const std::vector<KeyArrays>& runs,
+                                  runtime::ThreadPool* pool);
+
+  /// Appends to `*out` rows [skip, count) of the merge of `runs` that
+  /// starts at run positions `pos` (a cut the merge order passes through).
+  static void MergeRange(const std::vector<KeyArrays>& runs,
+                         std::vector<size_t> pos, size_t skip, size_t count,
+                         Relation* out);
 
   size_t width(size_t row) const {
     return widths_.empty() ? columns_.size() : widths_[row];
@@ -106,8 +117,16 @@ class KeyArrays {
 /// K-way merges bags that are each sorted (KeyArrays::Sort) into one
 /// canonical relation with `schema`. Rows that compare equal come out in
 /// run order, so the result equals a stable sort of the runs' concatenation.
+///
+/// With a `pool` of several threads, key ranges merge as pool tasks
+/// (DESIGN.md §16): splitters
+/// sampled from the runs cut every run at its lower bound, and each task
+/// merges its range widened to whole chunks. Rows and chunk layout equal
+/// the serial merge byte for byte. Runs whose rows vary in width merge
+/// serially.
 Relation MergeSortedRuns(const Schema& schema,
-                         const std::vector<KeyArrays>& runs);
+                         const std::vector<KeyArrays>& runs,
+                         runtime::ThreadPool* pool = nullptr);
 
 }  // namespace rasql::storage
 

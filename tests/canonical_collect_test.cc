@@ -1,7 +1,8 @@
 // Canonical collect (DESIGN.md §16): the typed sort over KeyArrays must
 // equal a reference std::stable_sort under RowLess on every column shape;
 // SetRdd::CanonicalCollect must equal Collect() + SortRows() byte for byte
-// at any partition and thread count; the pool-parallel Partition must equal
+// at any partition and thread count; the range-parallel MergeSortedRuns
+// must equal the serial merge row for row and chunk for chunk; the pool-parallel Partition must equal
 // row-by-row placement; and the distributed base case aggregated from
 // chunks must equal the materialized-row path row for row.
 
@@ -363,6 +364,200 @@ TEST(CanonicalCollectTest, MergeKeepsRunOrderOnTies) {
        {Value::Double(3.0)},
        {Value::Double(kNaN)},
        {Value::Double(-kNaN)}});
+}
+
+// ---- Pooled MergeSortedRuns vs the serial merge ----
+
+/// Same chunks (row count, width, bytes and every column's storage) and
+/// the same rows, bit for bit.
+void ExpectSameChunks(const Relation& got, const Relation& want) {
+  ASSERT_EQ(got.num_chunks(), want.num_chunks());
+  for (size_t c = 0; c < got.num_chunks(); ++c) {
+    const storage::ColumnChunk& a = got.chunk(c);
+    const storage::ColumnChunk& b = want.chunk(c);
+    ASSERT_EQ(a.num_rows(), b.num_rows()) << "chunk " << c;
+    ASSERT_EQ(a.num_columns(), b.num_columns()) << "chunk " << c;
+    EXPECT_EQ(a.ByteSize(), b.ByteSize()) << "chunk " << c;
+    for (size_t col = 0; col < a.num_columns(); ++col) {
+      EXPECT_EQ(a.column(col).tag, b.column(col).tag) << c << "/" << col;
+      EXPECT_EQ(a.column(col).variant, b.column(col).variant)
+          << c << "/" << col;
+      EXPECT_EQ(a.column(col).null_count, b.column(col).null_count)
+          << c << "/" << col;
+      EXPECT_EQ(a.column(col).dict, b.column(col).dict) << c << "/" << col;
+    }
+  }
+  ExpectSameRelation(got, want);
+}
+
+/// Run sizes summing to `total`: uneven, with an empty run every fifth.
+std::vector<size_t> RunSizes(size_t num_runs, size_t total) {
+  std::vector<size_t> weights(num_runs);
+  size_t sum = 0;
+  for (size_t r = 0; r < num_runs; ++r) {
+    weights[r] = r % 5 == 3 ? 0 : r % 7 + 1;
+    sum += weights[r];
+  }
+  std::vector<size_t> sizes(num_runs, 0);
+  size_t given = 0;
+  for (size_t r = 0; r < num_runs; ++r) {
+    sizes[r] = sum == 0 ? 0 : total * weights[r] / sum;
+    given += sizes[r];
+  }
+  if (num_runs > 0) sizes[0] += total - given;
+  return sizes;
+}
+
+/// One sorted run per relation, as SetRddPartition::TakeSortedRun makes.
+std::vector<KeyArrays> SortedRuns(const std::vector<Relation>& rels) {
+  std::vector<KeyArrays> runs;
+  for (const Relation& rel : rels) {
+    runs.push_back(KeyArrays::FromRelation(rel));
+    runs.back().Sort();
+  }
+  return runs;
+}
+
+/// The pooled merge equals the serial one at threads {1, 2, 8}, and the
+/// serial one equals a stable sort of the runs' concatenation.
+void ExpectPooledMergeMatchesSerial(const Schema& schema,
+                                    const std::vector<Relation>& rels) {
+  const std::vector<KeyArrays> runs = SortedRuns(rels);
+  const Relation want = storage::MergeSortedRuns(schema, runs);
+  std::vector<Row> concat;
+  for (const Relation& rel : rels) {
+    for (Row& row : rel.MaterializeRows()) concat.push_back(std::move(row));
+  }
+  std::stable_sort(concat.begin(), concat.end(), RowLess());
+  ExpectSameRowsExactly(want.MaterializeRows(), concat);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    runtime::ThreadPool pool(threads);
+    ExpectSameChunks(storage::MergeSortedRuns(schema, runs, &pool), want);
+  }
+}
+
+/// Relations of `shapes` columns (DrawCell) with the given run sizes.
+std::vector<Relation> RandomRuns(const std::vector<int>& shapes,
+                                 const std::vector<size_t>& sizes,
+                                 uint64_t seed) {
+  std::vector<Relation> rels;
+  for (size_t r = 0; r < sizes.size(); ++r) {
+    rels.push_back(RandomRelation(shapes, sizes[r], seed + r));
+  }
+  return rels;
+}
+
+// Every pool of two or more threads merges in ranges, at most one per
+// output chunk: under one chunk is a single range, 3 and 9 chunks give
+// single-chunk ranges, 40 chunks give multi-chunk ranges at 2 threads.
+constexpr size_t kTotals[] = {5, 3 * 1024 - 5, 9 * 1024 + 3,
+                              40 * 1024 + 77};
+
+TEST(PooledMergeTest, EqualsSerialMergeOnEveryColumnShape) {
+  const std::vector<std::vector<int>> layouts = {
+      {0, 0},     // all-int64: the raw-array comparator
+      {0, 0, 0},  // all-int64, three columns, extremes and many ties
+      {4, 0},     // boxed int/double cells in one column
+      {2, 3},     // dictionary strings and nulls
+      {1, 5},     // signed zeros, infinities and NaNs
+      {5, 2, 3},  // NaN-heavy doubles, strings, nulls
+  };
+  uint64_t seed = 100;
+  for (const auto& layout : layouts) {
+    for (size_t total : kTotals) {
+      SCOPED_TRACE("layout size " + std::to_string(layout.size()) +
+                   " total " + std::to_string(total));
+      std::vector<Relation> rels =
+          RandomRuns(layout, RunSizes(30, total), seed);
+      seed += 100;
+      ExpectPooledMergeMatchesSerial(rels[0].schema(), rels);
+    }
+  }
+  // Many runs far smaller than the sampling stride.
+  std::vector<Relation> rels =
+      RandomRuns({0, 0}, RunSizes(2000, kTotals[2]), seed);
+  ExpectPooledMergeMatchesSerial(rels[0].schema(), rels);
+}
+
+TEST(PooledMergeTest, IntAndDoubleRunsTieAcrossRuns) {
+  // Column 0 is a typed int64 array in even runs and a typed double array
+  // in odd ones, so 1 and 1.0 compare equal across runs and must come out
+  // in run order; column 1 is a mixed boxed column.
+  for (size_t total : kTotals) {
+    SCOPED_TRACE("total " + std::to_string(total));
+    const std::vector<size_t> sizes = RunSizes(12, total);
+    std::vector<Relation> rels;
+    std::mt19937_64 rng(total);
+    for (size_t r = 0; r < sizes.size(); ++r) {
+      Relation rel{
+          Schema::Of({{"A", ValueType::kInt64}, {"B", ValueType::kInt64}})};
+      for (size_t i = 0; i < sizes[r]; ++i) {
+        const int64_t k = static_cast<int64_t>(rng() % 50);
+        rel.AppendRow({r % 2 == 0 ? Value::Int(k)
+                                  : Value::Double(static_cast<double>(k)),
+                       DrawCell(4, rng)});
+      }
+      rels.push_back(std::move(rel));
+    }
+    ExpectPooledMergeMatchesSerial(rels[0].schema(), rels);
+  }
+}
+
+TEST(PooledMergeTest, ManyEqualKeysLeaveEmptyRanges) {
+  // Most rows are one key, so most splitters are equal and their ranges
+  // are empty; one range holds nearly everything.
+  for (size_t total : kTotals) {
+    for (int distinct : {1, 3}) {
+      SCOPED_TRACE("total " + std::to_string(total) + " distinct " +
+                   std::to_string(distinct));
+      const std::vector<size_t> sizes = RunSizes(30, total);
+      std::vector<Relation> rels;
+      std::mt19937_64 rng(total + distinct);
+      for (size_t size : sizes) {
+        Relation rel{
+            Schema::Of({{"A", ValueType::kInt64}, {"B", ValueType::kInt64}})};
+        for (size_t i = 0; i < size; ++i) {
+          const bool common = rng() % 8 != 0;
+          rel.AppendRow(
+              {Value::Int(common ? 7 : static_cast<int64_t>(rng() % distinct)),
+               Value::Int(1)});
+        }
+        rels.push_back(std::move(rel));
+      }
+      ExpectPooledMergeMatchesSerial(rels[0].schema(), rels);
+    }
+  }
+}
+
+TEST(PooledMergeTest, EmptyRunsSingleRunAndWidthChanges) {
+  const Schema schema =
+      Schema::Of({{"A", ValueType::kInt64}, {"B", ValueType::kDouble}});
+  // No rows at all, and only empty runs.
+  ExpectPooledMergeMatchesSerial(schema, {});
+  ExpectPooledMergeMatchesSerial(schema,
+                                 std::vector<Relation>(4, Relation(schema)));
+  for (size_t total : kTotals) {
+    SCOPED_TRACE("total " + std::to_string(total));
+    // A single run, alone and among empty runs.
+    const Relation one = RandomRelation({0, 1}, total, total);
+    ExpectPooledMergeMatchesSerial(one.schema(), {one});
+    ExpectPooledMergeMatchesSerial(
+        one.schema(), {Relation(one.schema()), one, Relation(one.schema())});
+    // Rows of width 2, 1 and 2 in one run: width changes seal short
+    // chunks, so these runs merge whole.
+    std::vector<Relation> rels = RandomRuns({0, 1}, RunSizes(6, total), 7);
+    Relation& mixed = rels[1];
+    std::mt19937_64 rng(total);
+    for (int i = 0; i < 600; ++i) {
+      mixed.AppendRow({Value::Int(static_cast<int64_t>(rng() % 20))});
+    }
+    for (int i = 0; i < 600; ++i) {
+      mixed.AppendRow({Value::Int(static_cast<int64_t>(rng() % 20)),
+                       DrawCell(1, rng)});
+    }
+    ExpectPooledMergeMatchesSerial(rels[0].schema(), rels);
+  }
 }
 
 // ---- Parallel Partition vs row-by-row placement ----

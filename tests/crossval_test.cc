@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <set>
 
 #include "baselines/pregel/pregel.h"
@@ -28,6 +30,21 @@ struct CrossValCase {
   /// Real threads under the simulated cluster (1 = sequential seed path).
   int threads = 1;
 };
+
+// Without a PrintTo, gtest prints each case into its ctest name as the
+// struct's raw bytes, including three uninitialised padding bytes, so the
+// names changed between builds. This prints the same "16-byte object <…>"
+// dump from the fields alone, with the padding zero.
+void PrintTo(const CrossValCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(CrossValCase)] = {};
+  auto put = [&bytes](size_t offset, const auto& field) {
+    std::memcpy(bytes + offset, &field, sizeof field);
+  };
+  put(offsetof(CrossValCase, seed), c.seed);
+  put(offsetof(CrossValCase, distributed), c.distributed);
+  put(offsetof(CrossValCase, threads), c.threads);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class CrossValidation : public ::testing::TestWithParam<CrossValCase> {
  protected:

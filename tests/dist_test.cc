@@ -92,9 +92,13 @@ TEST(ShuffleWriteTest, GatherCollectsFromAllWriters) {
   for (int src = 0; src < 3; ++src) {
     writes[src].AddAll(MakeIntRelation({"K"}, {{src}}), spec);
   }
-  size_t total = GatherShuffle(writes, 0).size() +
-                 GatherShuffle(writes, 1).size();
+  size_t total = GatherShuffle(&writes, 0).size() +
+                 GatherShuffle(&writes, 1).size();
   EXPECT_EQ(total, 3u);
+  // Each slice moved out to its one reader.
+  for (const ShuffleWrite& w : writes) {
+    for (const Relation& slice : w.slice_per_dest) EXPECT_TRUE(slice.empty());
+  }
 }
 
 StageSpec LocalStage(const std::string& name) {
@@ -263,29 +267,52 @@ TEST(SliceReadinessTest, PublishConsumeLifecycle) {
 
 TEST(ShuffleChannelTest, GatherSeesOnlyPublishedSlices) {
   // Producers 0 and 2 publish; producer 1 has deposited but not published.
-  // A consumer must observe exactly the published rows — never a slice
-  // whose producing task has not completed.
+  // A consumer must receive every published slice addressed to it, in
+  // producer order, and never a slice whose producing task has not
+  // completed; gathering moves the published slices out and leaves the
+  // unpublished ones in place.
   const Partitioning spec{{0}, 2};
   ShuffleChannel channel(3);
   for (int src = 0; src < 3; ++src) {
     ShuffleWrite write(2);
-    // Keys 2*src and 2*src + 1, routed by hash.
-    write.AddAll(MakeIntRelation({"K"}, {{src * 2}, {src * 2 + 1}}), spec);
+    std::vector<std::vector<int64_t>> keys;
+    for (int64_t k = 0; k < 6; ++k) keys.push_back({src * 10 + k});
+    write.AddAll(MakeIntRelation({"K"}, keys), spec);
     channel.Put(src, std::move(write));
   }
+  std::vector<int64_t> want[2];
+  for (int dest = 0; dest < 2; ++dest) {
+    for (int src : {0, 2}) {
+      const std::vector<int64_t> slice =
+          FirstColumn(channel.write(src).slice_per_dest[dest]);
+      ASSERT_FALSE(slice.empty()) << "src " << src << " dest " << dest;
+      want[dest].insert(want[dest].end(), slice.begin(), slice.end());
+    }
+  }
+  const std::vector<int64_t> unpublished[2] = {
+      FirstColumn(channel.write(1).slice_per_dest[0]),
+      FirstColumn(channel.write(1).slice_per_dest[1])};
   channel.Publish(0);
   channel.Publish(2);
 
-  std::set<int64_t> seen;
-  for (int64_t k : FirstColumn(channel.Gather(0))) seen.insert(k);
-  for (int64_t k : FirstColumn(channel.Gather(1))) seen.insert(k);
+  EXPECT_EQ(FirstColumn(channel.Gather(0)), want[0]);
+  EXPECT_EQ(FirstColumn(channel.Gather(1)), want[1]);
   EXPECT_TRUE(channel.readiness().Consumed(0));
   EXPECT_TRUE(channel.readiness().Consumed(1));
-  // Producer 1's rows {2, 3} stay invisible.
-  EXPECT_EQ(seen, (std::set<int64_t>{0, 1, 4, 5}));
-
-  channel.Publish(1);
+  for (int dest = 0; dest < 2; ++dest) {
+    EXPECT_TRUE(channel.write(0).slice_per_dest[dest].empty());
+    EXPECT_TRUE(channel.write(2).slice_per_dest[dest].empty());
+    // Producer 1's rows stay invisible and in place.
+    EXPECT_EQ(FirstColumn(channel.write(1).slice_per_dest[dest]),
+              unpublished[dest]);
+  }
   EXPECT_EQ(channel.TotalRows(), 6u);
+
+  // Once published, a later gather delivers exactly the rows left behind.
+  channel.Publish(1);
+  EXPECT_EQ(FirstColumn(channel.Gather(0)), unpublished[0]);
+  EXPECT_EQ(FirstColumn(channel.Gather(1)), unpublished[1]);
+  EXPECT_EQ(channel.TotalRows(), 0u);
 
   channel.Reset();
   EXPECT_EQ(channel.TotalRows(), 0u);

@@ -8,7 +8,9 @@
 #include "fixpoint/distributed_fixpoint.h"
 #include "fixpoint/local_fixpoint.h"
 #include "fixpoint/stage_plan.h"
+#include "lint/diagnostic.h"
 #include "sql/parser.h"
+#include "verify/verifier.h"
 
 namespace rasql::fixpoint {
 namespace {
@@ -698,6 +700,207 @@ TEST(DistributedFixpointTest, OnePartitionCountsHashBuildsLikeLocal) {
       EXPECT_EQ(run.stats.hash_builds, local.hash_builds)
           << sql << (combine ? " combined" : " plain");
     }
+  }
+}
+
+// ---- The base case runs in the seed stage's tasks (PAPER Alg. 4/5): each
+// task evaluates its range of the base branches on pipelines bound once on
+// the driver, pre-aggregates it and shuffles it. The rows equal the local
+// engine's, and nothing in FixpointStats or the modeled stages depends on
+// the thread count or the async pipeline. ----
+
+struct SeedSplitCase {
+  const char* name;
+  const char* sql;
+};
+
+constexpr SeedSplitCase kSeedSplitCases[] = {
+    // A join base: `b.Cost < 40.0` is pushed onto the build side, which is
+    // bound once on the driver and probed by every seed task.
+    {"filtered-join", R"(
+        WITH recursive path (Dst, min() AS Cost) AS
+          (SELECT b.Dst, a.Cost + b.Cost FROM edge a, edge b
+           WHERE a.Dst = b.Src AND b.Cost < 40.0) UNION
+          (SELECT edge.Dst, path.Cost + edge.Cost
+           FROM path, edge WHERE path.Dst = edge.Src)
+        SELECT Dst, Cost FROM path)"},
+    // One VALUES row: every task but one has an empty split.
+    {"values", kSssp},
+    // Two branches whose keys overlap: the splits are ranges of both
+    // branches laid end to end.
+    {"two-branch", R"(
+        WITH recursive m (N, min() AS C) AS
+          (SELECT Dst, Cost FROM edge WHERE Src < 100) UNION
+          (SELECT Src, Cost + 0.5 FROM edge WHERE Dst < 100) UNION
+          (SELECT edge.Dst, m.C + edge.Cost FROM m, edge WHERE m.N = edge.Src)
+        SELECT N, C FROM m)"},
+    // A cross join does not compile to a pipeline: it is evaluated on the
+    // driver and the tasks slice its rows, between a compiled branch's.
+    {"cross-join", R"(
+        WITH recursive r (X, Y) AS
+          (SELECT Src, Dst FROM edge WHERE Src = 9) UNION
+          (SELECT a.Src, b.Dst FROM edge a, edge b
+           WHERE a.Src = 5 AND b.Src = 6) UNION
+          (SELECT r.X, edge.Dst FROM r, edge WHERE r.Y = edge.Src)
+        SELECT X, Y FROM r)"},
+    // An aggregate on the spine does not compile either.
+    {"aggregate", R"(
+        WITH recursive r (X, min() AS C) AS
+          (SELECT Src, min(Cost) FROM edge GROUP BY Src) UNION
+          (SELECT edge.Dst, r.C + edge.Cost FROM r, edge WHERE r.X = edge.Src)
+        SELECT X, C FROM r)"},
+    {"empty", R"(
+        WITH recursive path (Dst, min() AS Cost) AS
+          (SELECT Dst, Cost FROM edge WHERE Src < 0) UNION
+          (SELECT edge.Dst, path.Cost + edge.Cost
+           FROM path, edge WHERE path.Dst = edge.Src)
+        SELECT Dst, Cost FROM path)"},
+    // A bare scan (decomposed TC): the tasks slice the borrowed table.
+    {"scan", kTc},
+};
+
+/// Every FixpointStats field, for whole-struct equality.
+std::string StatsFields(const FixpointStats& s) {
+  std::string key;
+  for (int k : s.partition_key) key += std::to_string(k) + ",";
+  return "iterations=" + std::to_string(s.iterations) +
+         " delta=" + std::to_string(s.total_delta_rows) +
+         " plans=" + std::to_string(s.plan_executions) +
+         " hash_builds=" + std::to_string(s.hash_builds) +
+         " limit=" + std::to_string(s.hit_iteration_limit) +
+         " semi_naive=" + std::to_string(s.used_semi_naive) +
+         " decomposed=" + std::to_string(s.used_decomposed) + " key=" + key +
+         " warm=" + std::to_string(s.warm_starts) +
+         " seed=" + std::to_string(s.seed_delta_rows) +
+         " saved=" + std::to_string(s.iterations_saved);
+}
+
+/// The modeled stages: names, task counts and byte counts.
+std::string StageFields(const dist::JobMetrics& m) {
+  std::string out = "broadcast=" + std::to_string(m.broadcast_bytes);
+  for (const dist::StageMetrics& stage : m.stages) {
+    out += " [" + stage.name + " " + std::to_string(stage.num_tasks) + " " +
+           std::to_string(stage.shuffle_bytes) + " " +
+           std::to_string(stage.remote_bytes) + "]";
+  }
+  return out;
+}
+
+/// Runs `clique` distributed at threads {1, 8} × async_shuffle {off, on} ×
+/// combine_stages {on, off}, every submission verified: rows must equal
+/// `want`, and per combine setting the stats and modeled stages must not
+/// change with threads or async_shuffle.
+void ExpectSeedSplitMatrix(const analysis::RecursiveClique& clique,
+                           const std::map<std::string, const Relation*>& tables,
+                           const WarmStartInput* warm,
+                           const std::vector<storage::Row>& want,
+                           const std::string& name) {
+  for (bool combine : {true, false}) {
+    std::string stats0;
+    std::string stages0;
+    for (int threads : {1, 8}) {
+      for (bool async : {false, true}) {
+        const std::string label = name + (combine ? " combined" : " plain") +
+                                  " threads=" + std::to_string(threads) +
+                                  (async ? " async" : "");
+        DistFixpointOptions options;
+        options.combine_stages = combine;
+        options.warm_start = warm;
+        runtime::RuntimeOptions runtime;
+        runtime.num_threads = threads;
+        runtime.async_shuffle = async;
+        runtime.verify_stages = true;
+        dist::ClusterConfig config;
+        config.num_partitions = 6;
+        dist::Cluster cluster(config, runtime);
+        FixpointStats stats;
+        auto views =
+            EvaluateCliqueDistributed(clique, tables, &cluster, options, &stats);
+        ASSERT_TRUE(views.ok()) << label << ": " << views.status();
+        ExpectSameRows(want, views->begin()->second.MaterializeRows(), label);
+        EXPECT_EQ(stats.warm_starts, warm != nullptr ? 1 : 0) << label;
+        EXPECT_FALSE(cluster.verify_report().HasErrors())
+            << label << "\n" << cluster.verify_report().ToString();
+        if (stats0.empty()) {
+          stats0 = StatsFields(stats);
+          stages0 = StageFields(cluster.metrics());
+        } else {
+          EXPECT_EQ(StatsFields(stats), stats0) << label;
+          EXPECT_EQ(StageFields(cluster.metrics()), stages0) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(DistributedSeedSplitTest, BaseCasesMatchLocalAcrossThreadsAndAsync) {
+  Relation edge = WeightedRmat();
+  std::map<std::string, const Relation*> tables = {{"edge", &edge}};
+  for (const SeedSplitCase& c : kSeedSplitCases) {
+    auto analyzed = Compile(c.sql, tables);
+    ASSERT_TRUE(analyzed.ok()) << c.name << ": " << analyzed.status();
+    const LocalRun local =
+        RunLocal(*analyzed, tables, FixpointMode::kSemiNaive, 1);
+    if (std::string(c.name) == "empty") {
+      EXPECT_TRUE(local.rows.empty());
+    } else {
+      EXPECT_GT(local.rows.size(), 1u) << c.name;
+    }
+    ExpectSeedSplitMatrix(analyzed->cliques[0], tables, nullptr, local.rows,
+                          c.name);
+  }
+}
+
+TEST(DistributedSeedSplitTest, WarmSeedMatchesColdLocal) {
+  // The warm seed (DESIGN.md §14) is evaluated on the driver over the
+  // appended rows, and the seed tasks slice it by range.
+  const Relation all = WeightedRmat();
+  Relation old_edges(all.schema());
+  Relation appended(all.schema());
+  for (size_t i = 0; i < all.size(); ++i) {
+    (i % 9 == 4 ? appended : old_edges).AppendRow(all.GetRow(i));
+  }
+  const std::map<std::string, const Relation*> old_tables = {
+      {"edge", &old_edges}};
+  const std::map<std::string, const Relation*> tables = {{"edge", &all}};
+  auto analyzed = Compile(kSssp, tables);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  const LocalRun prior =
+      RunLocal(*analyzed, old_tables, FixpointMode::kSemiNaive, 1);
+  const LocalRun cold = RunLocal(*analyzed, tables, FixpointMode::kSemiNaive, 1);
+  const Relation converged(analyzed->cliques[0].views[0].schema, prior.rows);
+  const std::map<std::string, Relation> deltas = {{"edge", appended}};
+  WarmStartInput warm;
+  warm.converged = &converged;
+  warm.deltas = &deltas;
+  warm.prior_iterations = prior.stats.iterations;
+  ExpectSeedSplitMatrix(analyzed->cliques[0], tables, &warm, cold.rows,
+                        "warm");
+}
+
+TEST(DistributedSeedSplitTest, ExplainStagesRendersTheSeedClaims) {
+  Relation edge = WeightedRmat();
+  std::map<std::string, const Relation*> tables = {{"edge", &edge}};
+  auto analyzed = Compile(kSssp, tables);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  for (bool combine : {true, false}) {
+    DistFixpointOptions options;
+    options.combine_stages = combine;
+    auto graph =
+        PlanDistributedStages(analyzed->cliques[0], options, {}, 6);
+    ASSERT_TRUE(graph.ok()) << graph.status();
+    const std::string text = graph->ToString();
+    EXPECT_NE(text.find("seed-base-case  (map)  out: seed-exchange  "
+                        "status: failure  [pair 0]"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("claims: base-pipelines(read-shared)"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("seed-splits"), std::string::npos) << text;
+    lint::DiagnosticEngine diag;
+    verify::VerifyStageGraph(*graph, &diag);
+    EXPECT_FALSE(diag.HasErrors()) << diag.ToString();
   }
 }
 

@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <set>
@@ -266,6 +268,22 @@ struct FixpointCase {
   /// combination off to exercise RunStagePair's pipelined path.
   bool combine_stages = true;
 };
+
+// Without a PrintTo, gtest prints each case into its ctest name as the
+// struct's raw bytes, including one uninitialised padding byte, so the
+// names changed between builds. This prints the same "8-byte object <…>"
+// dump from the fields alone, with the padding zero.
+void PrintTo(const FixpointCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(FixpointCase)] = {};
+  auto put = [&bytes](size_t offset, const auto& field) {
+    std::memcpy(bytes + offset, &field, sizeof field);
+  };
+  put(offsetof(FixpointCase, num_threads), c.num_threads);
+  put(offsetof(FixpointCase, partition_aware), c.partition_aware);
+  put(offsetof(FixpointCase, async_shuffle), c.async_shuffle);
+  put(offsetof(FixpointCase, combine_stages), c.combine_stages);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class FixpointDeterminism : public ::testing::TestWithParam<FixpointCase> {
  protected:
